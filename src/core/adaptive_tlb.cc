@@ -74,6 +74,8 @@ AdaptiveTlbModel::evaluate(const trace::AppProfile &app, int entries,
 
     cache::Tlb tlb(entries);
     Rng rng(app.seed ^ 0x71b7a6b1ULL);
+    const Rng::ZipfDist resident_pages(
+        static_cast<uint64_t>(behavior.pages), behavior.zipf_s);
     // Streamed pages live far above the resident set and advance one
     // fresh page every stream_touches streaming references.
     const uint64_t stream_base = 1'000'000;
@@ -86,8 +88,7 @@ AdaptiveTlbModel::evaluate(const trace::AppProfile &app, int entries,
                        static_cast<uint64_t>(behavior.stream_touches);
             ++stream_count;
         } else {
-            page = rng.zipf(static_cast<uint64_t>(behavior.pages),
-                            behavior.zipf_s);
+            page = resident_pages(rng);
         }
         tlb.accessPage(page);
     }

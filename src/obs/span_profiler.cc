@@ -39,6 +39,9 @@ void SpanProfiler::arm()
 {
     if (armed_)
         return;
+    // Every lane exists before any span opens: worker threads index
+    // their own lane and must never reallocate the array under another.
+    lanes_.resize(kMaxLanes);
     epoch_ns_ = steadyNowNs();
     armed_ = true;
     g_active.store(this, std::memory_order_release);
@@ -68,13 +71,10 @@ uint64_t SpanProfiler::nowNs() const
 
 SpanProfiler::Lane &SpanProfiler::laneRef(int i)
 {
-    if (i < 0)
-        i = 0;
-    if (i >= kMaxLanes)
-        i = kMaxLanes - 1;
-    if (static_cast<size_t>(i) >= lanes_.size())
-        lanes_.resize(static_cast<size_t>(i) + 1);
-    return lanes_[static_cast<size_t>(i)];
+    // Before the first arm() only lane 0 exists; after it, indices at
+    // or above kMaxLanes fold into the last lane.
+    const int last = static_cast<int>(lanes_.size()) - 1;
+    return lanes_[static_cast<size_t>(std::clamp(i, 0, last))];
 }
 
 void SpanProfiler::beginSpan(int lane, const char *name)

@@ -153,6 +153,8 @@ class SpanProfiler
 
     Lane &laneRef(int i);
 
+    /** One lane until arm() sizes it to kMaxLanes; never grown on
+     *  the span path. */
     std::vector<Lane> lanes_;
     uint64_t epoch_ns_ = 0;
     bool armed_ = false;

@@ -15,6 +15,14 @@ bump(uint8_t counter, bool taken)
     return counter > 0 ? counter - 1 : 0;
 }
 
+/** Site count as a draw range, checked before the Zipf table is built. */
+uint64_t
+siteCount(int sites)
+{
+    capAssert(sites >= 1, "need branch sites");
+    return static_cast<uint64_t>(sites);
+}
+
 } // namespace
 
 bool
@@ -86,9 +94,10 @@ GsharePredictor::update(Addr pc, bool taken)
 }
 
 BranchStream::BranchStream(const BranchBehavior &behavior, uint64_t seed)
-    : behavior_(behavior), rng_(seed)
+    : behavior_(behavior),
+      rng_(seed),
+      site_popularity_(siteCount(behavior.static_branches), kSiteZipfS)
 {
-    capAssert(behavior.static_branches >= 1, "need branch sites");
     capAssert(behavior.pattern_period >= 2, "pattern period too short");
     site_bias_.resize(static_cast<size_t>(behavior.static_branches));
     site_phase_.assign(static_cast<size_t>(behavior.static_branches), 0);
@@ -102,8 +111,7 @@ BranchStream::next()
 {
     // Sites are accessed with Zipf popularity: a few hot loops plus a
     // long tail, which is what makes table capacity matter.
-    uint64_t site =
-        rng_.zipf(static_cast<uint64_t>(behavior_.static_branches), 0.8);
+    uint64_t site = site_popularity_(rng_);
     BranchRecord record;
     record.pc = 0x400000 + site * 4;
 

@@ -128,6 +128,9 @@ struct BranchBehavior
 class BranchStream
 {
   public:
+    /** Zipf exponent of branch-site popularity. */
+    static constexpr double kSiteZipfS = 0.8;
+
     BranchStream(const BranchBehavior &behavior, uint64_t seed);
 
     BranchRecord next();
@@ -135,6 +138,7 @@ class BranchStream
   private:
     BranchBehavior behavior_;
     Rng rng_;
+    Rng::ZipfDist site_popularity_;
     /** Per-site state: bias direction or pattern phase. */
     std::vector<uint8_t> site_bias_;
     std::vector<uint32_t> site_phase_;

@@ -18,6 +18,16 @@ InstructionStream::InstructionStream(const trace::IlpBehavior &behavior,
                   "segment references unknown phase %d", seg.phase);
         capAssert(seg.length_instrs > 0, "zero-length phase segment");
     }
+    // Distances are a floor plus a geometric draw with the phase's
+    // mean, clamped both by the generator cap and by the instructions
+    // that actually exist before the op.
+    for (const trace::IlpPhase &phase : behavior_.phases) {
+        draws_.push_back(PhaseDraws{
+            std::max<uint32_t>(1, phase.min_dep_distance),
+            Rng::GeometricDist(1.0 / std::max(1.0, phase.mean_dep_distance)),
+            Rng::GeometricDist(1.0 /
+                               std::max(1.0, phase.mean_dep_distance2))});
+    }
     segment_left_ = behavior_.schedule[0].length_instrs;
 }
 
@@ -66,21 +76,17 @@ InstructionStream::next()
 {
     advanceSegment();
     const trace::IlpPhase &phase = behavior_.phases[currentPhase()];
+    const PhaseDraws &draws = draws_[currentPhase()];
 
     MicroOp op;
-    // Distances are a floor plus a geometric draw with the phase's
-    // mean, clamped both by the generator cap and by the instructions
-    // that actually exist before this one.
-    uint64_t floor = std::max<uint32_t>(1, phase.min_dep_distance);
-    double p1 = 1.0 / std::max(1.0, phase.mean_dep_distance);
-    uint64_t d1 = floor + rng_.geometric(p1, kMaxDepDistance - floor);
+    uint64_t floor = draws.floor;
+    uint64_t d1 = floor + draws.dist1(rng_, kMaxDepDistance - floor);
     op.src1_dist = static_cast<uint32_t>(std::min<uint64_t>(
         d1, position_ == 0 ? 0 : std::min<uint64_t>(position_,
                                                     kMaxDepDistance)));
 
     if (position_ > 0 && rng_.chance(phase.second_src_prob)) {
-        double p2 = 1.0 / std::max(1.0, phase.mean_dep_distance2);
-        uint64_t d2 = floor + rng_.geometric(p2, kMaxDepDistance - floor);
+        uint64_t d2 = floor + draws.dist2(rng_, kMaxDepDistance - floor);
         op.src2_dist = static_cast<uint32_t>(std::min<uint64_t>(
             d2, std::min<uint64_t>(position_, kMaxDepDistance)));
     }
@@ -101,17 +107,14 @@ InstructionStream::nextBatch(MicroOp *out, uint64_t max)
     while (n < max) {
         advanceSegment();
         const trace::IlpPhase &phase = behavior_.phases[currentPhase()];
+        const PhaseDraws &draws = draws_[currentPhase()];
         uint64_t chunk = std::min(max - n, segment_left_);
-        // Phase parameters hoisted out of the per-op loop; the RNG
-        // call sequence below matches next() exactly, so batch and
-        // single-op generation stay cursor-equivalent.
-        uint64_t floor = std::max<uint32_t>(1, phase.min_dep_distance);
-        double p1 = 1.0 / std::max(1.0, phase.mean_dep_distance);
-        double p2 = 1.0 / std::max(1.0, phase.mean_dep_distance2);
+        // The RNG call sequence below matches next() exactly, so batch
+        // and single-op generation stay cursor-equivalent.
+        uint64_t floor = draws.floor;
         for (uint64_t i = 0; i < chunk; ++i) {
             MicroOp op;
-            uint64_t d1 =
-                floor + rng_.geometric(p1, kMaxDepDistance - floor);
+            uint64_t d1 = floor + draws.dist1(rng_, kMaxDepDistance - floor);
             op.src1_dist = static_cast<uint32_t>(std::min<uint64_t>(
                 d1, position_ == 0
                         ? 0
@@ -119,7 +122,7 @@ InstructionStream::nextBatch(MicroOp *out, uint64_t max)
                                              kMaxDepDistance)));
             if (position_ > 0 && rng_.chance(phase.second_src_prob)) {
                 uint64_t d2 =
-                    floor + rng_.geometric(p2, kMaxDepDistance - floor);
+                    floor + draws.dist2(rng_, kMaxDepDistance - floor);
                 op.src2_dist = static_cast<uint32_t>(std::min<uint64_t>(
                     d2, std::min<uint64_t>(position_, kMaxDepDistance)));
             }

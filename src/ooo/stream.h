@@ -8,6 +8,7 @@
 #define CAPSIM_OOO_STREAM_H
 
 #include <cstdint>
+#include <vector>
 
 #include "ooo/op_source.h"
 #include "ooo/uop.h"
@@ -68,9 +69,18 @@ class InstructionStream : public OpSource
     void restoreCursor(const Cursor &cursor);
 
   private:
+    /** A phase's dependency-distance draws, built once per phase. */
+    struct PhaseDraws
+    {
+        uint64_t floor;
+        Rng::GeometricDist dist1;
+        Rng::GeometricDist dist2;
+    };
+
     void advanceSegment();
 
     const trace::IlpBehavior behavior_;
+    std::vector<PhaseDraws> draws_;
     Rng rng_;
     uint64_t position_ = 0;
     size_t segment_ = 0;

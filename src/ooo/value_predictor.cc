@@ -35,8 +35,10 @@ StrideValuePredictor::predictAndUpdate(const ValueRecord &record)
 
     // Update: track the new stride; confidence follows correctness of
     // the *stride hypothesis* whether or not it was confident yet.
-    int64_t new_stride = static_cast<int64_t>(record.value) -
-                         static_cast<int64_t>(entry.last_value);
+    // Subtract unsigned: random values would overflow an int64_t
+    // difference; the wrapped bits are the two's-complement stride.
+    int64_t new_stride =
+        static_cast<int64_t>(record.value - entry.last_value);
     if (correct) {
         if (entry.confidence < 3)
             ++entry.confidence;
@@ -50,10 +52,23 @@ StrideValuePredictor::predictAndUpdate(const ValueRecord &record)
     return confident && correct;
 }
 
-ValueStream::ValueStream(const ValueBehavior &behavior, uint64_t seed)
-    : behavior_(behavior), rng_(seed)
+namespace {
+
+/** Site count as a draw range, checked before the Zipf table is built. */
+uint64_t
+siteCount(int sites)
 {
-    capAssert(behavior.static_sites >= 1, "need value sites");
+    capAssert(sites >= 1, "need value sites");
+    return static_cast<uint64_t>(sites);
+}
+
+} // namespace
+
+ValueStream::ValueStream(const ValueBehavior &behavior, uint64_t seed)
+    : behavior_(behavior),
+      rng_(seed),
+      site_popularity_(siteCount(behavior.static_sites), behavior.popularity_s)
+{
     size_t n = static_cast<size_t>(behavior.static_sites);
     site_value_.assign(n, 0);
     site_stride_.assign(n, 0);
@@ -70,9 +85,7 @@ ValueStream::ValueStream(const ValueBehavior &behavior, uint64_t seed)
 ValueRecord
 ValueStream::next()
 {
-    uint64_t site =
-        rng_.zipf(static_cast<uint64_t>(behavior_.static_sites),
-                  behavior_.popularity_s);
+    uint64_t site = site_popularity_(rng_);
     ValueRecord record;
     record.pc = 0x800000 + site * 4;
     if (site_predictable_[site]) {

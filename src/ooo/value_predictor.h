@@ -118,6 +118,7 @@ class ValueStream
   private:
     ValueBehavior behavior_;
     Rng rng_;
+    Rng::ZipfDist site_popularity_;
     std::vector<uint64_t> site_value_;
     std::vector<int64_t> site_stride_;
     std::vector<uint8_t> site_predictable_;

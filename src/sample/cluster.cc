@@ -93,7 +93,7 @@ kMedoids(const std::vector<IntervalSignature> &signatures, size_t k,
         }
         // Zero mass means every point coincides with a medoid; fall
         // through to the lowest-index non-medoid below.
-        size_t pick = mass > 0.0 ? rng.weighted(nearest) : medoids[0];
+        size_t pick = mass > 0.0 ? Rng::WeightedDist(nearest)(rng) : medoids[0];
         if (is_medoid[pick]) {
             // All remaining mass is on existing medoids (duplicate
             // points); take the lowest-index non-medoid instead.

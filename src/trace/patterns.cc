@@ -6,15 +6,29 @@
 
 namespace cap::trace {
 
-ZipfResident::ZipfResident(Region region, uint64_t block_bytes, double s,
-                           uint64_t shuffle_seed)
-    : region_(region), block_bytes_(block_bytes), s_(s)
+namespace {
+
+/** Blocks of a ZipfResident region, checked before any table is built. */
+uint64_t
+residentBlocks(Region region, uint64_t block_bytes)
 {
     capAssert(block_bytes > 0, "block size must be positive");
     uint64_t n = region.blocks(block_bytes);
     capAssert(n > 0, "ZipfResident region smaller than one block");
     capAssert(n <= UINT32_MAX, "region too large for shuffle table");
-    shuffle_.resize(n);
+    return n;
+}
+
+} // namespace
+
+ZipfResident::ZipfResident(Region region, uint64_t block_bytes, double s,
+                           uint64_t shuffle_seed)
+    : region_(region),
+      block_bytes_(block_bytes),
+      shuffle_(residentBlocks(region, block_bytes)),
+      popularity_(shuffle_.size(), s)
+{
+    uint64_t n = shuffle_.size();
     std::iota(shuffle_.begin(), shuffle_.end(), 0);
     // Fisher-Yates with a dedicated generator so the spatial layout is
     // a fixed property of the workload, not of trace position.
@@ -28,7 +42,7 @@ ZipfResident::ZipfResident(Region region, uint64_t block_bytes, double s,
 Addr
 ZipfResident::next(Rng &rng)
 {
-    uint64_t rank = rng.zipf(shuffle_.size(), s_);
+    uint64_t rank = popularity_(rng);
     uint64_t block = shuffle_[rank];
     uint64_t offset = rng.below(block_bytes_);
     return region_.base + block * block_bytes_ + offset;

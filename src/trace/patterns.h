@@ -98,8 +98,8 @@ class ZipfResident : public Pattern
   private:
     Region region_;
     uint64_t block_bytes_;
-    double s_;
     std::vector<uint32_t> shuffle_;
+    Rng::ZipfDist popularity_;
 };
 
 /** Repeated in-order sweep over a region (LRU's worst case). */

@@ -40,19 +40,20 @@ SyntheticTraceSource::SyntheticTraceSource(const CacheBehavior &behavior,
     auto build_phase = [&](const std::vector<PatternSpec> &mix,
                            uint64_t length_refs) {
         capAssert(!mix.empty(), "profile has an empty reference mix");
-        Phase phase;
-        phase.length_refs = length_refs;
+        std::vector<std::unique_ptr<Pattern>> patterns;
+        std::vector<double> weights;
         for (const PatternSpec &spec : mix) {
             capAssert(spec.region_bytes >= kBlockBytes,
                       "component region smaller than a block");
             Region region{next_base, spec.region_bytes};
             next_base += divCeil(spec.region_bytes, kRegionAlignment) *
                          kRegionAlignment;
-            phase.patterns.push_back(
+            patterns.push_back(
                 makePattern(spec, region, shuffle_rng.next()));
-            phase.weights.push_back(spec.weight);
+            weights.push_back(spec.weight);
         }
-        phases_.push_back(std::move(phase));
+        phases_.push_back(Phase{std::move(patterns),
+                                Rng::WeightedDist(weights), length_refs});
     };
 
     if (behavior.phases.empty()) {
@@ -120,7 +121,7 @@ SyntheticTraceSource::next(TraceRecord &record)
         phase_left_ = phases_[phase_].length_refs;
     Phase &phase = phases_[phase_];
     size_t which =
-        phase.patterns.size() == 1 ? 0 : rng_.weighted(phase.weights);
+        phase.patterns.size() == 1 ? 0 : phase.pick(rng_);
     record.addr = phase.patterns[which]->next(rng_);
     record.is_write = rng_.chance(write_fraction_);
     ++produced_;
@@ -154,7 +155,7 @@ SyntheticTraceSource::nextBatch(TraceRecord *out, uint64_t max)
             }
         } else {
             for (uint64_t i = 0; i < chunk; ++i, ++n) {
-                size_t which = rng_.weighted(phase.weights);
+                size_t which = phase.pick(rng_);
                 out[n].addr = phase.patterns[which]->next(rng_);
                 out[n].is_write = rng_.chance(write_fraction_);
             }

@@ -81,7 +81,8 @@ class SyntheticTraceSource : public TraceSource
     struct Phase
     {
         std::vector<std::unique_ptr<Pattern>> patterns;
-        std::vector<double> weights;
+        /** Pattern pick; never drawn in a one-pattern phase. */
+        Rng::WeightedDist pick;
         uint64_t length_refs;
     };
 

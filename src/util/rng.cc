@@ -1,6 +1,8 @@
 #include "rng.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "status.h"
 
@@ -19,12 +21,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -38,43 +34,6 @@ Rng::Rng(uint64_t seed)
         s_[0] = 1;
 }
 
-uint64_t
-Rng::next()
-{
-    uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-uint64_t
-Rng::below(uint64_t bound)
-{
-    capAssert(bound > 0, "Rng::below requires a positive bound");
-    // Debiased multiply-shift (Lemire).
-    while (true) {
-        uint64_t x = next();
-        __uint128_t m = static_cast<__uint128_t>(x) * bound;
-        uint64_t low = static_cast<uint64_t>(m);
-        if (low >= bound || low >= (-bound) % bound)
-            return static_cast<uint64_t>(m >> 64);
-    }
-}
-
 int64_t
 Rng::range(int64_t lo, int64_t hi)
 {
@@ -83,81 +42,140 @@ Rng::range(int64_t lo, int64_t hi)
     return lo + static_cast<int64_t>(below(span));
 }
 
-bool
-Rng::chance(double p)
+Rng::GeometricDist::GeometricDist(double p)
+    : p_(p), log1m_p_(std::log1p(-p))
 {
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
+    capAssert(p > 0.0 && p <= 1.0, "geometric requires p in (0,1]");
 }
 
 uint64_t
-Rng::geometric(double p, uint64_t cap)
+Rng::GeometricDist::operator()(Rng &rng, uint64_t cap) const
 {
-    capAssert(p > 0.0 && p <= 1.0, "geometric requires p in (0,1]");
-    if (p >= 1.0)
+    if (p_ >= 1.0)
         return 0;
-    double u = uniform();
+    double u = rng.uniform();
     // Inverse CDF; u == 0 maps to 0 failures.
-    double draw = std::floor(std::log1p(-u) / std::log1p(-p));
+    double draw = std::floor(std::log1p(-u) / log1m_p_);
     if (draw < 0.0)
         draw = 0.0;
     uint64_t k = static_cast<uint64_t>(draw);
     return k > cap ? cap : k;
 }
 
-size_t
-Rng::weighted(const std::vector<double> &weights)
+Rng::WeightedDist::WeightedDist(const std::vector<double> &weights)
 {
     capAssert(!weights.empty(), "weighted draw over empty weights");
+    cum_.reserve(weights.size());
     double total = 0.0;
     for (double w : weights) {
         capAssert(w >= 0.0, "negative weight");
         total += w;
+        cum_.push_back(total);
     }
     capAssert(total > 0.0, "weighted draw needs a positive total");
-    double target = uniform() * total;
-    double acc = 0.0;
-    for (size_t i = 0; i < weights.size(); ++i) {
-        acc += weights[i];
-        if (target < acc)
-            return i;
+}
+
+Rng::ZipfDist::ZipfDist(uint64_t n, double s)
+    : n_(n),
+      s_(s),
+      log_form_(std::abs(s - 1.0) < 1e-9),
+      total_(0.0),
+      one_minus_s_(1.0 - s),
+      inv_one_minus_s_(1.0 / (1.0 - s))
+{
+    capAssert(n > 0, "zipf over empty range");
+    if (s <= 0.0)
+        return;
+    // Rejection-inversion would be overkill; workloads use small s and
+    // moderate n, so inverting the integral approximation of the
+    // generalized harmonic number is adequate and deterministic.
+    double x = static_cast<double>(n);
+    total_ = log_form_ ? std::log(x + 1.0)
+                       : (std::pow(x + 1.0, one_minus_s_) - 1.0) /
+                             one_minus_s_;
+
+    // Bucket b holds the mantissas [b, b + 1) * 2^kShift.  u -> power(u)
+    // is monotone in exact arithmetic and every step before pow/exp is
+    // a monotone rounded operation, so power() of any mantissa between
+    // two bucket edges lies between the two edge values up to libm's
+    // < 1 ulp error.  Widening those values by a relative kMargin (far
+    // above that error) and requiring both widened ends to give one
+    // rank proves the rank of every bucket between the edges.  A range
+    // whose edges disagree is halved, down to single buckets, which
+    // stay kNoRank; edges are shared, so the table costs at most
+    // kBuckets + 1 pow/exp calls, and far fewer where one rank spans
+    // many buckets.
+    table_.assign(kBuckets, kNoRank);
+    std::vector<double> edges(kBuckets + 1,
+                              std::numeric_limits<double>::quiet_NaN());
+    fillTable(0, kBuckets, edges);
+}
+
+void
+Rng::ZipfDist::fillTable(size_t lo, size_t hi, std::vector<double> &edges)
+{
+    constexpr double kMargin = 1e-12;
+    // NaN marks an edge not yet computed (a NaN power() is recomputed,
+    // and its ranges fall back).
+    auto edge = [&](size_t e) {
+        if (std::isnan(edges[e]))
+            edges[e] = power(static_cast<double>(e << kShift) * 0x1.0p-53);
+        return edges[e];
+    };
+    double v_lo = edge(lo);
+    double v_hi = edge(hi);
+    double a = std::min(v_lo, v_hi) * (1.0 - kMargin);
+    double z = std::max(v_lo, v_hi) * (1.0 + kMargin);
+    if (std::isfinite(a) && std::isfinite(z)) {
+        uint64_t rank = rankOfPower(a);
+        if (rank == rankOfPower(z) && rank < kNoRank) {
+            std::fill(table_.begin() + static_cast<ptrdiff_t>(lo),
+                      table_.begin() + static_cast<ptrdiff_t>(hi),
+                      static_cast<uint32_t>(rank));
+            return;
+        }
     }
-    return weights.size() - 1;
+    if (hi - lo == 1)
+        return;
+    size_t mid = lo + (hi - lo) / 2;
+    fillTable(lo, mid, edges);
+    fillTable(mid, hi, edges);
+}
+
+double
+Rng::ZipfDist::power(double u) const
+{
+    double target = u * total_;
+    if (log_form_)
+        return std::exp(target);
+    return std::pow(target * one_minus_s_ + 1.0, inv_one_minus_s_);
 }
 
 uint64_t
-Rng::zipf(uint64_t n, double s)
+Rng::ZipfDist::rankOfPower(double v) const
 {
-    capAssert(n > 0, "zipf over empty range");
-    // Rejection-inversion would be overkill; workloads use small s and
-    // moderate n, so a two-piece approximation of the harmonic CDF is
-    // adequate and deterministic.
-    double u = uniform();
-    if (s <= 0.0)
-        return below(n);
-    // Normalizing constant via the integral approximation of the
-    // generalized harmonic number.
-    auto hInt = [s](double x) {
-        if (std::abs(s - 1.0) < 1e-9)
-            return std::log(x + 1.0);
-        return (std::pow(x + 1.0, 1.0 - s) - 1.0) / (1.0 - s);
-    };
-    double total = hInt(static_cast<double>(n));
-    double target = u * total;
-    // Invert the integral approximation.
-    double x;
-    if (std::abs(s - 1.0) < 1e-9) {
-        x = std::exp(target) - 1.0;
-    } else {
-        x = std::pow(target * (1.0 - s) + 1.0, 1.0 / (1.0 - s)) - 1.0;
-    }
+    double x = v - 1.0;
     if (x < 0.0)
         x = 0.0;
     uint64_t k = static_cast<uint64_t>(x);
-    return k >= n ? n - 1 : k;
+    return k >= n_ ? n_ - 1 : k;
+}
+
+uint64_t
+Rng::ZipfDist::invert(double u) const
+{
+    return rankOfPower(power(u));
+}
+
+double
+Rng::ZipfDist::fallbackShare() const
+{
+    if (table_.empty())
+        return 0.0;
+    size_t misses = 0;
+    for (uint32_t rank : table_)
+        misses += rank == kNoRank ? 1 : 0;
+    return static_cast<double>(misses) / static_cast<double>(table_.size());
 }
 
 Rng

@@ -118,9 +118,10 @@ TEST(TraceAnalyzerTest, MatchesSimulatedFullyAssociativeCache)
     // match a simulated fully-associative LRU cache of C blocks, when
     // C is a bin boundary.
     Rng rng(77);
+    const Rng::ZipfDist popularity(512, 0.9);
     std::vector<TraceRecord> records;
     for (int i = 0; i < 20000; ++i)
-        records.push_back({rng.zipf(512, 0.9) * kBlock, false});
+        records.push_back({popularity(rng) * kBlock, false});
 
     TraceAnalyzer analyzer;
     for (const TraceRecord &r : records)

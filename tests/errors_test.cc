@@ -207,10 +207,11 @@ TEST(ErrorPathsTest, RngGuards)
     Rng rng(1);
     EXPECT_DEATH(rng.below(0), "positive bound");
     EXPECT_DEATH(rng.range(3, 2), "lo <= hi");
-    EXPECT_DEATH(rng.zipf(0, 1.0), "empty range");
-    EXPECT_DEATH(rng.weighted({}), "empty weights");
-    EXPECT_DEATH(rng.weighted({0.0, 0.0}), "positive total");
-    EXPECT_DEATH(rng.weighted({-1.0, 2.0}), "negative weight");
+    EXPECT_DEATH(Rng::ZipfDist(0, 1.0), "empty range");
+    EXPECT_DEATH(Rng::WeightedDist({}), "empty weights");
+    EXPECT_DEATH(Rng::WeightedDist({0.0, 0.0}), "positive total");
+    EXPECT_DEATH(Rng::WeightedDist({-1.0, 2.0}), "negative weight");
+    EXPECT_DEATH(Rng::GeometricDist(0.0), "p in \\(0,1\\]");
 }
 
 TEST(ErrorPathsTest, SingleConfigurationSelectionWorks)

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,18 @@
 #include "timing/wire.h"
 
 namespace cap::timing {
+
+// Prints a WireModelTechTest parameter by name: gtest's default prints
+// the pointer, so the listed test names (which carry
+// "# GetParam() = ...") would change with the load address on every
+// run. Outside the anonymous namespace so that lookup by argument type
+// finds it.
+void
+PrintTo(const Technology *tech, std::ostream *os)
+{
+    *os << tech->name();
+}
+
 namespace {
 
 // ---------------------------------------------------------------------

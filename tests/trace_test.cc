@@ -8,10 +8,16 @@
 #include <cstdio>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/adaptive_bpred.h"
+#include "core/adaptive_tlb.h"
+#include "core/adaptive_vpred.h"
+#include "ooo/uop.h"
+#include "rng_reference.h"
 #include "trace/file_trace.h"
 #include "trace/patterns.h"
 #include "trace/profile.h"
@@ -452,6 +458,199 @@ TEST(WorkloadsTest, PhasedAppsHaveMultiplePhases)
     EXPECT_GE(findApp("turb3d").ilp.schedule.size(), 2u);
     EXPECT_GE(findApp("vortex").ilp.phases.size(), 2u);
     EXPECT_GT(findApp("vortex").ilp.schedule.size(), 20u);
+}
+
+// ---------------------------------------------------------------------
+// Generator exactness: every distribution the shipped profiles, the
+// predictor streams and the TLB model draw from matches the per-draw
+// reference bodies (rng_reference.h), and the cache-study streams
+// match digests recorded before those distributions were hoisted.
+// ---------------------------------------------------------------------
+
+/** Every mix of a cache behaviour: the flat mix or each phase's. */
+std::vector<std::vector<PatternSpec>>
+mixesOf(const CacheBehavior &cache)
+{
+    if (cache.phases.empty())
+        return {cache.mix};
+    std::vector<std::vector<PatternSpec>> mixes;
+    for (const CachePhase &phase : cache.phases)
+        mixes.push_back(phase.mix);
+    return mixes;
+}
+
+/** The suite plus the phased demo, with short phases so a 200k-ref
+ *  prefix crosses several phase switches. */
+std::vector<AppProfile>
+shippedCacheProfiles()
+{
+    std::vector<AppProfile> apps = workloadSuite();
+    AppProfile phased = phasedCacheDemo();
+    phased.cache.phases[0].length_refs = 30'000;
+    phased.cache.phases[1].length_refs = 45'000;
+    apps.push_back(phased);
+    return apps;
+}
+
+TEST(GeneratorExactnessTest, ZipfMatchesReferenceOnCacheProfiles)
+{
+    std::set<std::pair<uint64_t, double>> shapes;
+    for (const AppProfile &app : shippedCacheProfiles()) {
+        for (const auto &mix : mixesOf(app.cache)) {
+            for (const PatternSpec &spec : mix) {
+                if (spec.kind == PatternKind::ZipfResident)
+                    shapes.insert({spec.region_bytes / kBlockBytes,
+                                   spec.zipf_s});
+            }
+        }
+    }
+    EXPECT_GE(shapes.size(), 15u);
+    for (const auto &[n, s] : shapes)
+        reference::expectZipfExact(n, s);
+}
+
+TEST(GeneratorExactnessTest, ZipfMatchesReferenceOnPredictorAndTlbSites)
+{
+    std::set<std::pair<uint64_t, double>> shapes;
+    for (const AppProfile &app : workloadSuite()) {
+        shapes.insert(
+            {core::bpredBehaviorFor(app.name).stream.static_branches,
+             ooo::BranchStream::kSiteZipfS});
+        ooo::ValueBehavior value = core::vpredBehaviorFor(app.name);
+        shapes.insert({value.static_sites, value.popularity_s});
+        core::TlbBehavior tlb = core::tlbBehaviorFor(app.name);
+        shapes.insert({tlb.pages, tlb.zipf_s});
+    }
+    EXPECT_GE(shapes.size(), 25u);
+    for (const auto &[n, s] : shapes)
+        reference::expectZipfExact(n, s);
+}
+
+TEST(GeneratorExactnessTest, WeightedMatchesReferenceOnCacheMixes)
+{
+    std::set<std::vector<double>> mixes;
+    for (const AppProfile &app : shippedCacheProfiles()) {
+        for (const auto &mix : mixesOf(app.cache)) {
+            std::vector<double> weights;
+            for (const PatternSpec &spec : mix)
+                weights.push_back(spec.weight);
+            mixes.insert(weights);
+        }
+    }
+    for (const std::vector<double> &weights : mixes)
+        reference::expectWeightedExact(weights);
+}
+
+TEST(GeneratorExactnessTest, GeometricMatchesReferenceOnIlpPhases)
+{
+    std::set<std::pair<double, uint64_t>> shapes;
+    for (const AppProfile &app : workloadSuite()) {
+        for (const IlpPhase &phase : app.ilp.phases) {
+            uint64_t floor = std::max<uint32_t>(1, phase.min_dep_distance);
+            uint64_t cap = ooo::kMaxDepDistance - floor;
+            shapes.insert(
+                {1.0 / std::max(1.0, phase.mean_dep_distance), cap});
+            shapes.insert(
+                {1.0 / std::max(1.0, phase.mean_dep_distance2), cap});
+        }
+    }
+    for (const auto &[p, cap] : shapes)
+        reference::expectGeometricExact(p, cap);
+}
+
+/** FNV-1a over the 8 little-endian bytes of @p word. */
+uint64_t
+fnvWord(uint64_t h, uint64_t word)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (word >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+uint64_t
+fnvRecords(uint64_t h, const TraceRecord *records, uint64_t n)
+{
+    for (uint64_t i = 0; i < n; ++i) {
+        h = fnvWord(h, records[i].addr);
+        h = fnvWord(h, records[i].is_write ? 1 : 0);
+    }
+    return h;
+}
+
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+/** Drain @p source with nextBatch() into the running digest @p h. */
+uint64_t
+fnvBatched(uint64_t h, SyntheticTraceSource &source)
+{
+    std::vector<TraceRecord> batch(kTraceBatch);
+    while (uint64_t n = source.nextBatch(batch.data(), kTraceBatch))
+        h = fnvRecords(h, batch.data(), n);
+    return h;
+}
+
+TEST(GeneratorExactnessTest, CacheStudyStreamsMatchGoldenDigests)
+{
+    // Digests of the first 200k references of each stream, recorded
+    // with the per-draw Zipf/weighted generator.
+    const std::map<std::string, uint64_t> golden = {
+        {"m88ksim", 0x757bdc504b1c8c4fULL},
+        {"gcc", 0x9e1a12ab0cb88095ULL},
+        {"compress", 0x8cdfc60f969947cbULL},
+        {"li", 0x0110c588f157d879ULL},
+        {"ijpeg", 0xe958fdceefb8f6d1ULL},
+        {"perl", 0x3d4824a188f5c980ULL},
+        {"vortex", 0xe4d1ef01352b8ee0ULL},
+        {"airshed", 0xde64fa4a17ddcc69ULL},
+        {"stereo", 0x923301e6cefe0136ULL},
+        {"radar", 0xb892134c3151d828ULL},
+        {"appcg", 0x9a3717668116e2c1ULL},
+        {"tomcatv", 0xf8abf83f240222a1ULL},
+        {"swim", 0x0536628bfb334fb3ULL},
+        {"su2cor", 0x818a826a8ba40850ULL},
+        {"hydro2d", 0xc44744e41a8f0329ULL},
+        {"mgrid", 0x9c6352215d36535eULL},
+        {"applu", 0x427c0f0879662d9eULL},
+        {"turb3d", 0xd7fd28e7a340f22eULL},
+        {"apsi", 0xd12d05acdc92b839ULL},
+        {"fpppp", 0xda7d854eeb5eeab5ULL},
+        {"wave5", 0x4c84d0c5c98ff2e7ULL},
+        {"phased-demo", 0x2aefb5ebf040561bULL}
+    };
+    constexpr uint64_t kRefs = 200'000;
+    constexpr uint64_t kSplit = 100'003;
+
+    std::vector<AppProfile> apps = cacheStudyApps();
+    apps.push_back(shippedCacheProfiles().back()); // the phased demo
+    ASSERT_EQ(apps.size(), golden.size());
+    for (const AppProfile &app : apps) {
+        SCOPED_TRACE(app.name);
+        const uint64_t want = golden.at(app.name);
+
+        SyntheticTraceSource single(app.cache, app.seed, kRefs);
+        uint64_t h = kFnvBasis;
+        TraceRecord record;
+        while (single.next(record))
+            h = fnvRecords(h, &record, 1);
+        EXPECT_EQ(h, want) << "next()";
+
+        SyntheticTraceSource batched(app.cache, app.seed, kRefs);
+        EXPECT_EQ(fnvBatched(kFnvBasis, batched), want) << "nextBatch()";
+
+        // First part by next(), the rest by nextBatch() in a fresh
+        // source restored from the cursor.
+        SyntheticTraceSource head(app.cache, app.seed, kRefs);
+        h = kFnvBasis;
+        for (uint64_t i = 0; i < kSplit; ++i) {
+            ASSERT_TRUE(head.next(record));
+            h = fnvRecords(h, &record, 1);
+        }
+        SyntheticTraceSource tail(app.cache, app.seed, kRefs);
+        tail.restoreCursor(head.saveCursor());
+        EXPECT_EQ(fnvBatched(h, tail), want) << "cursor split";
+    }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rng_reference.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -210,25 +211,26 @@ TEST(RngTest, GeometricMeanAndCap)
 {
     Rng rng(17);
     double sum = 0.0;
-    const double p = 0.25;
+    const Rng::GeometricDist dist(0.25);
     for (int i = 0; i < 20000; ++i) {
-        uint64_t k = rng.geometric(p, 1000);
+        uint64_t k = dist(rng, 1000);
         ASSERT_LE(k, 1000u);
         sum += static_cast<double>(k);
     }
     // Mean of geometric (failures before success) is (1-p)/p = 3.
     EXPECT_NEAR(sum / 20000.0, 3.0, 0.15);
+    const Rng::GeometricDist rare(0.001);
     for (int i = 0; i < 100; ++i)
-        ASSERT_LE(rng.geometric(0.001, 5), 5u);
+        ASSERT_LE(rare(rng, 5), 5u);
 }
 
 TEST(RngTest, WeightedFollowsWeights)
 {
     Rng rng(19);
-    std::vector<double> weights{1.0, 0.0, 3.0};
+    const Rng::WeightedDist dist({1.0, 0.0, 3.0});
     std::vector<int> counts(3, 0);
     for (int i = 0; i < 8000; ++i)
-        ++counts[rng.weighted(weights)];
+        ++counts[dist(rng)];
     EXPECT_EQ(counts[1], 0);
     EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.4);
 }
@@ -237,9 +239,10 @@ TEST(RngTest, ZipfBoundsAndSkew)
 {
     Rng rng(23);
     uint64_t n = 64;
+    const Rng::ZipfDist dist(n, 1.2);
     std::vector<int> counts(n, 0);
     for (int i = 0; i < 20000; ++i) {
-        uint64_t k = rng.zipf(n, 1.2);
+        uint64_t k = dist(rng);
         ASSERT_LT(k, n);
         ++counts[k];
     }
@@ -251,11 +254,61 @@ TEST(RngTest, ZipfZeroExponentIsUniformish)
 {
     Rng rng(29);
     uint64_t n = 8;
+    const Rng::ZipfDist dist(n, 0.0);
     std::vector<int> counts(n, 0);
     for (int i = 0; i < 16000; ++i)
-        ++counts[rng.zipf(n, 0.0)];
+        ++counts[dist(rng)];
     for (uint64_t k = 0; k < n; ++k)
         EXPECT_NEAR(counts[k], 2000, 300);
+}
+
+// ---------------------------------------------------------------------
+// Generator exactness: the hoisted distributions draw exactly what the
+// per-draw bodies did (rng_reference.h); tests/trace_test.cc covers
+// every shipped parameter set.
+// ---------------------------------------------------------------------
+
+TEST(GeneratorExactnessTest, ZipfEdgeCases)
+{
+    reference::expectZipfExact(1, 1.2);      // one rank
+    reference::expectZipfExact(1, 0.0);
+    reference::expectZipfExact(8, 0.0);      // uniform via below()
+    reference::expectZipfExact(128, 1.0);    // log form
+    reference::expectZipfExact(300, 1.0 + 5e-10, 7); // log form by tolerance
+    reference::expectZipfExact(512, 0.8, 3);
+    reference::expectZipfExact(64, 2.5, 5);  // steep: most mass on rank 0
+    reference::expectZipfExact(5000, 0.8);   // largest shipped n
+    reference::expectZipfExact(uint64_t{1} << 20, 1.1, 9);
+}
+
+TEST(GeneratorExactnessTest, ZipfTableCoversMostBucketsOfShippedShapes)
+{
+    // The table is a speed device; a shape whose every bucket falls
+    // back is exact but gains nothing.
+    EXPECT_LT(Rng::ZipfDist(384, 1.15).fallbackShare(), 0.25);
+    EXPECT_LT(Rng::ZipfDist(128, 1.0).fallbackShare(), 0.25);
+    EXPECT_DOUBLE_EQ(Rng::ZipfDist(1, 1.2).fallbackShare(), 0.0);
+    EXPECT_DOUBLE_EQ(Rng::ZipfDist(8, 0.0).fallbackShare(), 0.0);
+}
+
+TEST(GeneratorExactnessTest, WeightedEdgeCases)
+{
+    reference::expectWeightedExact({1.0});
+    reference::expectWeightedExact({1.0, 0.0, 3.0});
+    reference::expectWeightedExact({0.0, 0.0, 2.0}, 3);
+    reference::expectWeightedExact({0.7, 0.2, 0.1, 0.0}, 5);
+    reference::expectWeightedExact({0.973, 0.015, 0.012}, 7);
+    reference::expectWeightedExact({1e-300, 1.0, 1e300}, 9);
+}
+
+TEST(GeneratorExactnessTest, GeometricEdgeCases)
+{
+    reference::expectGeometricExact(1.0, 10);     // never draws
+    reference::expectGeometricExact(0.5, 0);      // cap 0
+    reference::expectGeometricExact(0.25, 1000);
+    reference::expectGeometricExact(1.0 / 3.0, 63, 3);
+    reference::expectGeometricExact(0.001, 5, 5); // cap binds
+    reference::expectGeometricExact(1e-9, UINT64_MAX / 2, 7);
 }
 
 TEST(RngTest, SplitProducesIndependentStream)
