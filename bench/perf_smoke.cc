@@ -28,7 +28,7 @@
  *   --baseline PATH  fail (exit 1) when a measured speedup falls
  *                    below 80% of the baseline's "speedup" /
  *                    "iq_speedup" / "oracle_iq_speedup" /
- *                    "oracle_cache_speedup" value
+ *                    "oracle_cache_speedup" / "dram_speedup" value
  */
 
 #include <chrono>
@@ -109,6 +109,30 @@ gateAgainstBaseline(const std::string &path, const std::string &key_name,
     return 0;
 }
 
+/** True when two cache studies agree on every CachePerf field; on a
+ *  divergence, names the first differing cell on stderr. */
+bool
+sameCachePerf(const core::CacheStudy &slow, const core::CacheStudy &fast,
+              const char *what)
+{
+    for (size_t a = 0; a < slow.perf.size(); ++a) {
+        for (size_t c = 0; c < slow.perf[a].size(); ++c) {
+            const core::CachePerf &s = slow.perf[a][c];
+            const core::CachePerf &f = fast.perf[a][c];
+            if (s.tpi_ns != f.tpi_ns || s.tpi_miss_ns != f.tpi_miss_ns ||
+                s.l1_miss_ratio != f.l1_miss_ratio ||
+                s.global_miss_ratio != f.global_miss_ratio ||
+                s.refs != f.refs || s.instructions != f.instructions) {
+                std::cerr << "perf_smoke: " << what
+                          << " result diverges at " << slow.apps[a].name
+                          << " config " << c << "\n";
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
 /** ns per CAPSIM_SPAN open/close pair over @p reps iterations. */
 double
 spanCostNs(uint64_t reps)
@@ -177,22 +201,8 @@ main(int argc, char **argv)
         core::runCacheStudy(model, apps, refs, 8, jobs, {}, true);
 
     // The speedup claim is only meaningful if the fast path is exact.
-    for (size_t a = 0; a < apps.size(); ++a) {
-        for (size_t c = 0; c < per_config.perf[a].size(); ++c) {
-            const core::CachePerf &slow = per_config.perf[a][c];
-            const core::CachePerf &fast = one_pass.perf[a][c];
-            if (slow.tpi_ns != fast.tpi_ns ||
-                slow.tpi_miss_ns != fast.tpi_miss_ns ||
-                slow.l1_miss_ratio != fast.l1_miss_ratio ||
-                slow.global_miss_ratio != fast.global_miss_ratio ||
-                slow.refs != fast.refs ||
-                slow.instructions != fast.instructions) {
-                std::cerr << "perf_smoke: one-pass result diverges at "
-                          << apps[a].name << " config " << c << "\n";
-                return 1;
-            }
-        }
-    }
+    if (!sameCachePerf(per_config, one_pass, "one-pass"))
+        return 1;
 
     const double slow_s = per_config.telemetry.wall_seconds;
     const double fast_s = one_pass.telemetry.wall_seconds;
@@ -213,9 +223,11 @@ main(int argc, char **argv)
     emit(table);
 
     // ---- Memory backends: --mem=flat must be free (bit-identical to
-    // the default-constructed model), and the dram walk's bank/MSHR
+    // the default-constructed model), the dram walk's bank/MSHR
     // bookkeeping must stay cheap -- under 2x the flat per-config
-    // lane it extends. ----
+    // lane it extends, like for like -- and the one-pass dram sweep
+    // (one stack walk feeding a clock per boundary) must match the
+    // per-config dram lane bit for bit and beat it. ----
     core::AdaptiveCacheModel flat_model;
     {
         mem::MemConfig flat_config;
@@ -255,11 +267,18 @@ main(int argc, char **argv)
         dram_model.setMemConfig(dram_config);
     }
     core::CacheStudy dram_study =
+        core::runCacheStudy(dram_model, apps, refs, 8, jobs, {}, false);
+    core::CacheStudy dram_one_pass =
         core::runCacheStudy(dram_model, apps, refs, 8, jobs, {}, true);
+    if (!sameCachePerf(dram_study, dram_one_pass, "one-pass dram"))
+        return 1;
     const double dram_s = dram_study.telemetry.wall_seconds;
+    const double dram_fast_s = dram_one_pass.telemetry.wall_seconds;
     const double flat_lane_s = explicit_flat.telemetry.wall_seconds;
     const double dram_overhead =
         flat_lane_s > 0.0 ? dram_s / flat_lane_s : 0.0;
+    const double dram_speedup =
+        dram_fast_s > 0.0 ? dram_s / dram_fast_s : 0.0;
 
     std::cout << "\n";
     TableWriter mem_table("miss backends, per-config lanes (" +
@@ -272,6 +291,17 @@ main(int argc, char **argv)
     mem_table.addRow(
         {Cell("dram"), Cell(dram_s, 3), Cell(dram_overhead, 2)});
     emit(mem_table);
+
+    std::cout << "\n";
+    TableWriter dram_table("dram cache sweep, " + std::to_string(refs) +
+                           " refs x " + std::to_string(apps.size()) +
+                           " apps x 8 boundaries");
+    dram_table.setHeader({"mode", "wall_s", "speedup"});
+    dram_table.addRow(
+        {Cell("per-config"), Cell(dram_s, 3), Cell(1.0, 2)});
+    dram_table.addRow(
+        {Cell("one-pass"), Cell(dram_fast_s, 3), Cell(dram_speedup, 2)});
+    emit(dram_table);
 
     if (dram_overhead >= 2.0) {
         std::cerr << "perf_smoke: dram walk costs "
@@ -514,9 +544,10 @@ main(int argc, char **argv)
     cost_profiler.disarm();
 
     const double study_wall_s =
-        slow_s + fast_s + flat_lane_s + dram_s + iq_slow_s + iq_fast_s +
-        oracle_iq_slow_s + oracle_iq_fast_s + oracle_cache_slow_s +
-        oracle_cache_fast_s + serve_cold_s + serve_warm_s;
+        slow_s + fast_s + flat_lane_s + dram_s + dram_fast_s +
+        iq_slow_s + iq_fast_s + oracle_iq_slow_s + oracle_iq_fast_s +
+        oracle_cache_slow_s + oracle_cache_fast_s + serve_cold_s +
+        serve_warm_s;
     const double overhead_pct =
         study_wall_s > 0.0
             ? 100.0 * static_cast<double>(study_spans) * disarmed_ns /
@@ -566,6 +597,10 @@ main(int argc, char **argv)
             << ",\n"
             << "  \"dram_seconds\": " << Cell(dram_s, 6).str() << ",\n"
             << "  \"dram_overhead_x\": " << Cell(dram_overhead, 3).str()
+            << ",\n"
+            << "  \"dram_onepass_seconds\": " << Cell(dram_fast_s, 6).str()
+            << ",\n"
+            << "  \"dram_speedup\": " << Cell(dram_speedup, 3).str()
             << ",\n"
             << "  \"instrs\": " << instrs << ",\n"
             << "  \"iq_apps\": " << iq_apps.size() << ",\n"
@@ -628,6 +663,9 @@ main(int argc, char **argv)
         if (int rc = gateAgainstBaseline(baseline_path,
                                          "oracle_cache_speedup",
                                          oracle_cache_speedup))
+            return rc;
+        if (int rc = gateAgainstBaseline(baseline_path, "dram_speedup",
+                                         dram_speedup))
             return rc;
     }
     return 0;

@@ -44,6 +44,21 @@ void
 StackSimulator::accessBatch(const trace::TraceRecord *records,
                             uint64_t count)
 {
+    walk<false>(records, count, nullptr);
+}
+
+void
+StackSimulator::accessBatch(const trace::TraceRecord *records,
+                            uint64_t count, int *depths)
+{
+    walk<true>(records, count, depths);
+}
+
+template <bool kWriteDepths>
+void
+StackSimulator::walk(const trace::TraceRecord *records, uint64_t count,
+                     int *depths)
+{
     const int total = total_ways_;
     refs_ += count;
     for (uint64_t r = 0; r < count; ++r) {
@@ -62,6 +77,8 @@ StackSimulator::accessBatch(const trace::TraceRecord *records,
                 break;
             }
         }
+        if constexpr (kWriteDepths)
+            depths[r] = depth;
 
         if (depth >= 0) {
             // Hit at recency depth `depth`: L1 for boundaries whose

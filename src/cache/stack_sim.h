@@ -27,6 +27,13 @@
  * (every L2 hit of a static cold-start run swaps) and writebacks
  * (dirtiness travels with the block in recency order).
  *
+ * The same argument fixes each reference's *outcome* per boundary, not
+ * only the totals: accessBatch() can emit the depth stream, from which
+ * a dram-mode sweep replays every boundary's pipeline clock and miss
+ * backend exactly (core::AdaptiveCacheModel::sweepOnePassObserved).
+ * The boundaries miss the same references in the same order; only the
+ * clock at which each miss reaches the backend differs.
+ *
  * The one thing the stack property does NOT survive is a mid-run
  * setBoundary(): physical placement then starts to matter (the
  * re-labelled increments expose holes the static invariant rules
@@ -70,6 +77,17 @@ class StackSimulator
     /** Record a batch of references (amortizes the call overhead). */
     void accessBatch(const trace::TraceRecord *records, uint64_t count);
 
+    /**
+     * As accessBatch(), also writing each reference's recency depth
+     * into @p depths[0, count): the depth its block was found at, or
+     * -1 for a miss.  By the inclusion argument above, depth d is an
+     * L1 hit for boundary k iff d < l1Ways(k) and an L2 hit otherwise,
+     * and -1 is a miss for every boundary -- the exact per-reference
+     * outcome stream of every static boundary from one walk.
+     */
+    void accessBatch(const trace::TraceRecord *records, uint64_t count,
+                     int *depths);
+
     /** References recorded so far. */
     uint64_t refs() const { return refs_; }
 
@@ -87,6 +105,12 @@ class StackSimulator
     void reset();
 
   private:
+    /** The walk; the flat instantiation writes no depths and compiles
+     *  to the plain stack update loop. */
+    template <bool kWriteDepths>
+    void walk(const trace::TraceRecord *records, uint64_t count,
+              int *depths);
+
     HierarchyGeometry geometry_;
     int total_ways_;
     /** Per-set recency stacks, most-recent first; entry is

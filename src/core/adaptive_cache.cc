@@ -1,6 +1,7 @@
 #include "adaptive_cache.h"
 
 #include <cmath>
+#include <optional>
 
 #include "cache/stack_sim.h"
 #include "timing/area.h"
@@ -55,6 +56,88 @@ foldCacheCounters(obs::CounterRegistry &registry,
     registry.counter("cache.writebacks").add(stats.writebacks);
     registry.counter("cache.swaps").add(stats.swaps);
 }
+
+/**
+ * The dram pipeline clocks of a one-pass sweep, one lane per boundary.
+ * Each lane owns its mem::DramBackend and its clock, and repeats
+ * evaluateDram()'s floating-point steps in the same order, driven by
+ * the shared walk's depth stream instead of a live hierarchy:
+ * `now += ref_ns` per reference, `now += l2_hit_ns` when the depth
+ * lies in the lane's L2 ways, and on a miss (depth -1) the backend's
+ * stall.  An L1 hit adds +0.0, which leaves the (positive) clock
+ * unchanged bit for bit; that keeps the hit path branch-free.
+ *
+ * The lanes advance together, reference by reference: every clock is
+ * a serial chain of dependent adds, so stepping all of them per
+ * reference overlaps the chains instead of running them back to back.
+ */
+class DramLanes
+{
+  public:
+    DramLanes(const mem::DramParams &params,
+              const std::vector<CacheBoundaryTiming> &timings,
+              double refs_per_instr)
+        : now_ns_(timings.size(), 0.0), stall_ns_(timings.size(), 0.0)
+    {
+        backends_.reserve(timings.size());
+        for (const CacheBoundaryTiming &timing : timings) {
+            backends_.emplace_back(params);
+            ref_ns_.push_back(timing.cycle_ns /
+                              (CacheMachine::kBaseIpc * refs_per_instr));
+            l2_hit_ns_.push_back(
+                timing.cycle_ns *
+                static_cast<double>(timing.l2_hit_cycles));
+            l1_ways_.push_back(static_cast<double>(timing.l1_assoc));
+        }
+    }
+
+    /** Step every lane over @p count references whose StackSimulator
+     *  depths are @p depths. */
+    void advance(const trace::TraceRecord *records, const int *depths,
+                 uint64_t count)
+    {
+        const size_t lanes = now_ns_.size();
+        Nanoseconds *now = now_ns_.data();
+        const Nanoseconds *ref_ns = ref_ns_.data();
+        const Nanoseconds *l2_hit_ns = l2_hit_ns_.data();
+        const double *l1_ways = l1_ways_.data();
+        for (uint64_t i = 0; i < count; ++i) {
+            if (depths[i] >= 0) {
+                const double depth = depths[i];
+                for (size_t k = 0; k < lanes; ++k) {
+                    Nanoseconds l2 = depth >= l1_ways[k] ? l2_hit_ns[k]
+                                                         : 0.0;
+                    now[k] = (now[k] + ref_ns[k]) + l2;
+                }
+                continue;
+            }
+            for (size_t k = 0; k < lanes; ++k) {
+                now[k] += ref_ns[k];
+                Nanoseconds stall =
+                    backends_[k].onMiss(records[i].addr, now[k]);
+                now[k] += stall;
+                stall_ns_[k] += stall;
+            }
+        }
+    }
+
+    const mem::DramBackend &backend(size_t lane) const
+    {
+        return backends_[lane];
+    }
+
+    /** Sum of the stalls lane @p lane's backend charged. */
+    Nanoseconds stallNs(size_t lane) const { return stall_ns_[lane]; }
+
+  private:
+    std::vector<mem::DramBackend> backends_;
+    std::vector<Nanoseconds> ref_ns_;
+    std::vector<Nanoseconds> l2_hit_ns_;
+    /** l1Ways of each lane's boundary, as double for the depth test. */
+    std::vector<double> l1_ways_;
+    std::vector<Nanoseconds> now_ns_;
+    std::vector<Nanoseconds> stall_ns_;
+};
 
 } // namespace
 
@@ -350,40 +433,48 @@ AdaptiveCacheModel::sweepOnePassObserved(
               max_l1_increments < geometry_.increments,
               "sweep bound out of range");
 
-    if (mem_.isDram()) {
-        // Stack distances cannot price a dram miss: its cost depends
-        // on the address order (row locality, bank overlap), which
-        // the depth histogram discards.  Fall back to the per-config
-        // lane engine -- exactness over speed (docs/PERF.md).
-        std::vector<CachePerf> results;
-        results.reserve(static_cast<size_t>(max_l1_increments));
-        for (int k = 1; k <= max_l1_increments; ++k)
-            results.push_back(
-                evaluateObserved(app, k, refs, trace, registry));
-        if (registry)
-            registry->counter("stacksim.dram_fallbacks").add(1);
-        return results;
-    }
+    std::vector<CacheBoundaryTiming> timings;
+    timings.reserve(static_cast<size_t>(max_l1_increments));
+    for (int k = 1; k <= max_l1_increments; ++k)
+        timings.push_back(boundaryTiming(k));
+
+    // Under dram every boundary misses the same references in the same
+    // order (stack_sim.h); only its pipeline clock differs.  One lane
+    // per boundary replays evaluateDram() from the walk's depth stream.
+    std::optional<DramLanes> lanes;
+    if (mem_.isDram())
+        lanes.emplace(mem_.dram, timings, app.cache.refs_per_instr);
 
     cache::StackSimulator stack(geometry_);
     trace::SyntheticTraceSource source(app.cache, app.seed, refs);
     trace::TraceRecord batch[trace::kTraceBatch];
+    int depths[trace::kTraceBatch];
     for (;;) {
         uint64_t n = source.nextBatch(batch, trace::kTraceBatch);
         if (n == 0)
             break;
-        stack.accessBatch(batch, n);
+        if (!lanes) {
+            stack.accessBatch(batch, n);
+            continue;
+        }
+        stack.accessBatch(batch, n, depths);
+        lanes->advance(batch, depths, n);
     }
 
     std::vector<CachePerf> results;
-    results.reserve(static_cast<size_t>(max_l1_increments));
-    for (int k = 1; k <= max_l1_increments; ++k) {
-        CacheBoundaryTiming timing = boundaryTiming(k);
-        cache::CacheStats stats = stack.statsFor(k);
+    results.reserve(timings.size());
+    for (size_t c = 0; c < timings.size(); ++c) {
+        const CacheBoundaryTiming &timing = timings[c];
+        cache::CacheStats stats = stack.statsFor(timing.l1_increments);
         CachePerf perf =
-            perfFromStats(stats, timing, app.cache.refs_per_instr);
-        if (registry)
+            lanes ? perfFromDram(stats, timing, app.cache.refs_per_instr,
+                                 lanes->stallNs(c))
+                  : perfFromStats(stats, timing, app.cache.refs_per_instr);
+        if (registry) {
             foldCacheCounters(*registry, stats);
+            if (lanes)
+                detail::foldMemCounters(*registry, lanes->backend(c));
+        }
         if (trace)
             trace->add(cellEvent(app, timing, perf));
         results.push_back(perf);

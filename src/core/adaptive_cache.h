@@ -139,7 +139,11 @@ class AdaptiveCacheModel
      * over the trace (cache::StackSimulator) scores every boundary in
      * [1, max_l1_increments] at once.  Bit-identical to sweep() --
      * the reconstruction is exact, not approximate (docs/PERF.md) --
-     * at ~1/max_l1_increments the simulation cost.
+     * at ~1/max_l1_increments the simulation cost.  Under a dram
+     * backend the walk also emits each reference's recency depth, and
+     * one pipeline clock + mem::DramBackend per boundary replays
+     * evaluate()'s dram loop from it, step for step (docs/PERF.md
+     * section 13).
      */
     std::vector<CachePerf> sweepOnePass(const trace::AppProfile &app,
                                         int max_l1_increments,
@@ -151,7 +155,9 @@ class AdaptiveCacheModel
      * evaluateObserved() would emit for each boundary (except the
      * `cache.service_way` histogram, whose physical-way breakdown is
      * path-dependent and not reconstructible from stack depths), plus
-     * `stacksim.*` counters describing the one-pass run itself.
+     * `stacksim.*` counters describing the one-pass run itself.  Under
+     * dram each boundary's `dram.*`/`mshr.*` counters are folded too,
+     * equal to evaluateObserved()'s.
      */
     std::vector<CachePerf>
     sweepOnePassObserved(const trace::AppProfile &app,

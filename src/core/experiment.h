@@ -68,7 +68,9 @@ struct CacheStudy
  *        reconstruction is exact; docs/PERF.md), at roughly
  *        1/max_l1_increments the simulation cost.  Telemetry then has
  *        one cell per application (config "onepass x<N>"), and the
- *        `cache.service_way` histogram is not recorded.
+ *        `cache.service_way` histogram is not recorded.  Under a dram
+ *        backend the walk feeds one pipeline clock per boundary and
+ *        stays bit-identical, `dram.*`/`mshr.*` counters included.
  */
 CacheStudy runCacheStudy(const AdaptiveCacheModel &model,
                          const std::vector<trace::AppProfile> &apps,

@@ -369,9 +369,9 @@ runCacheIntervalOracle(const AdaptiveCacheModel &model,
 
     obs::Hooks sinks = obs::effectiveHooks(hooks);
 
-    // Stack distances cannot price a dram miss (the cost depends on
-    // address order, which the depth histogram discards), so dram
-    // mode always runs the per-boundary lane engine (docs/PERF.md).
+    // The one-pass oracle prices interval deltas of statsFor() at the
+    // flat per-miss cost; dram mode runs the per-boundary lane engine
+    // (docs/PERF.md section 13).
     const bool dram = model.memConfig().isDram();
     one_pass = one_pass && !dram;
 

@@ -3,11 +3,15 @@
  * Banked DRAM + MSHR backend tests: spec parsing, backend timing
  * semantics, MSHR bookkeeping invariants, the flat-default
  * byte-identity contract of the study verbs, dram-mode study
- * invariants, the serve cell-key sensitivity, and the shared
+ * invariants (including the one-pass sweep against per-boundary
+ * evaluation), the serve cell-key sensitivity, and the shared
  * missCycles / clock-switch-penalty regressions (docs/MEMORY.md).
  */
 
+#include <bit>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +35,23 @@
 
 namespace cap {
 namespace {
+
+/** Every CachePerf field equal, the doubles bit for bit. */
+void
+expectSamePerf(const core::CachePerf &a, const core::CachePerf &b)
+{
+    EXPECT_EQ(a.l1_increments, b.l1_increments);
+    EXPECT_EQ(a.refs, b.refs);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.l1_miss_ratio),
+              std::bit_cast<uint64_t>(b.l1_miss_ratio));
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.global_miss_ratio),
+              std::bit_cast<uint64_t>(b.global_miss_ratio));
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.tpi_ns),
+              std::bit_cast<uint64_t>(b.tpi_ns));
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.tpi_miss_ns),
+              std::bit_cast<uint64_t>(b.tpi_miss_ns));
+}
 
 mem::MemConfig
 parseOrDie(const std::string &spec)
@@ -439,14 +460,13 @@ TEST(MemDramStudy, StudyIsJobAndEngineInvariant)
         core::runCacheStudy(model, apps, 25000, 8, 3, {}, false);
     ASSERT_EQ(serial.perf.size(), fanned.perf.size());
     for (size_t a = 0; a < serial.perf.size(); ++a) {
-        for (size_t c = 0; c < serial.perf[a].size(); ++c) {
-            EXPECT_EQ(serial.perf[a][c].tpi_ns,
-                      fanned.perf[a][c].tpi_ns);
-        }
+        ASSERT_EQ(serial.perf[a].size(), fanned.perf[a].size());
+        for (size_t c = 0; c < serial.perf[a].size(); ++c)
+            expectSamePerf(serial.perf[a][c], fanned.perf[a][c]);
     }
 }
 
-TEST(MemDramStudy, OnePassSweepFallsBackUnderDram)
+TEST(MemDramStudy, OnePassSweepWalksOnceUnderDram)
 {
     core::AdaptiveCacheModel model;
     model.setMemConfig(parseOrDie("dram"));
@@ -455,14 +475,95 @@ TEST(MemDramStudy, OnePassSweepFallsBackUnderDram)
     std::vector<core::CachePerf> swept =
         model.sweepOnePassObserved(app, 8, 20000, nullptr, &registry);
     EXPECT_EQ(swept.size(), 8u);
-    EXPECT_EQ(registry.counterValue("stacksim.dram_fallbacks"), 1u);
-    EXPECT_EQ(registry.counterValue("stacksim.sweeps"), 0u);
-    // The fallback produces the same numbers as evaluate().
-    for (int k = 1; k <= 8; ++k) {
-        EXPECT_EQ(swept[k - 1].tpi_ns,
-                  model.evaluate(app, k, 20000).tpi_ns);
+    EXPECT_EQ(registry.counterValue("stacksim.sweeps"), 1u);
+    EXPECT_EQ(registry.counterValue("stacksim.refs"), 20000u);
+    EXPECT_EQ(registry.counterValue("stacksim.dram_fallbacks"), 0u);
+    // The one walk produces the same numbers as evaluate().
+    for (int k = 1; k <= 8; ++k)
+        expectSamePerf(swept[k - 1], model.evaluate(app, k, 20000));
+}
+
+// The one-pass dram sweep against one evaluateObserved() per boundary:
+// every CachePerf field bit for bit, the same cache.*, dram.* and
+// mshr.* counters (the one-pass side records no service_way
+// histogram), and the same Cell trace records.  Each memory spec
+// covers every cache-study application at two seeds.
+struct DramSpecCase
+{
+    const char *name;
+    const char *spec;
+};
+
+void
+PrintTo(const DramSpecCase &c, std::ostream *os)
+{
+    *os << c.spec;
+}
+
+class MemDramOnePassDifferential
+    : public ::testing::TestWithParam<DramSpecCase>
+{
+};
+
+TEST_P(MemDramOnePassDifferential, MatchesPerBoundaryEvaluate)
+{
+    const char *const kCounters[] = {
+        "cache.refs",         "cache.l1_hits",      "cache.l2_hits",
+        "cache.misses",       "cache.writebacks",   "cache.swaps",
+        "dram.accesses",      "dram.row_hits",      "dram.row_misses",
+        "dram.row_conflicts", "dram.service_ns",    "dram.queue_ns",
+        "mshr.allocs",        "mshr.merges",        "mshr.full_stalls",
+        "mshr.stall_ns"};
+    // Not a multiple of the trace batch, so the tail batch is covered.
+    constexpr uint64_t kRefs = 16000;
+    core::AdaptiveCacheModel model;
+    model.setMemConfig(parseOrDie(GetParam().spec));
+    for (const trace::AppProfile &base : trace::cacheStudyApps()) {
+        for (uint64_t seed : {base.seed, base.seed + 7919}) {
+            trace::AppProfile app = base;
+            app.seed = seed;
+            SCOPED_TRACE(app.name + " seed " + std::to_string(seed));
+            obs::DecisionTrace one_pass_trace;
+            obs::CounterRegistry one_pass;
+            std::vector<core::CachePerf> swept = model.sweepOnePassObserved(
+                app, 8, kRefs, &one_pass_trace, &one_pass);
+            obs::DecisionTrace per_config_trace;
+            obs::CounterRegistry per_config;
+            ASSERT_EQ(swept.size(), 8u);
+            for (int k = 1; k <= 8; ++k) {
+                expectSamePerf(swept[k - 1],
+                               model.evaluateObserved(app, k, kRefs,
+                                                      &per_config_trace,
+                                                      &per_config));
+            }
+            std::ostringstream one_pass_jsonl, per_config_jsonl;
+            one_pass_trace.writeJsonl(one_pass_jsonl);
+            per_config_trace.writeJsonl(per_config_jsonl);
+            EXPECT_EQ(one_pass_jsonl.str(), per_config_jsonl.str());
+            for (const char *name : kCounters)
+                EXPECT_EQ(one_pass.counterValue(name),
+                          per_config.counterValue(name))
+                    << name;
+            // The counters above plus stacksim.{sweeps,refs,boundaries}.
+            EXPECT_EQ(per_config.counterCount(), std::size(kCounters));
+            EXPECT_EQ(one_pass.counterCount(), std::size(kCounters) + 3);
+            EXPECT_EQ(one_pass.histogramCount(), 0u);
+            EXPECT_NE(per_config.findHistogram("cache.service_way"),
+                      nullptr);
+        }
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Specs, MemDramOnePassDifferential,
+    ::testing::Values(
+        DramSpecCase{"Default", "dram"},
+        DramSpecCase{"ClosedPage", "dram:policy=closed"},
+        DramSpecCase{"OneMshr",
+                     "dram:banks=2,mshr=1,hit=10,miss=40,conflict=80"}),
+    [](const ::testing::TestParamInfo<DramSpecCase> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(MemDramStudy, MissCostBecomesPhaseDependent)
 {
