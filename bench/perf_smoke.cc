@@ -12,7 +12,11 @@
  *
  * The ratios, not the absolute wall times, are the regression metric:
  * they cancel host speed, so CI can hold them against a committed
- * baseline (bench/perf_baseline.json) across runner generations.
+ * baseline (bench/perf_baseline.json) across runner generations.  Every
+ * gated lane runs on one worker (jobs=1), the count the baseline was
+ * measured at, so a runner's core count cannot move a ratio.  The
+ * per-config cache study is run once more at the host's worker count
+ * and its scaling is reported, ungated.
  *
  * The run also measures the host-side span profiler (obs/span_profiler):
  * the per-span cost of the CAPSIM_SPAN macro disarmed and armed, and
@@ -188,7 +192,10 @@ main(int argc, char **argv)
     }
 
     const uint64_t refs = cacheRefs();
-    const int jobs = benchJobs();
+    // The gated lanes' worker count (the baseline's); jobs_n is the
+    // host's, for the ungated scaling lane and the server.
+    const int jobs = 1;
+    const int jobs_n = benchJobs();
     std::vector<trace::AppProfile> apps = trace::cacheStudyApps();
     core::AdaptiveCacheModel model;
 
@@ -222,8 +229,22 @@ main(int argc, char **argv)
                   Cell(speedup, 2)});
     emit(table);
 
+    // ---- Worker scaling, reported but not gated: the per-config
+    // study again at the host's worker count, which must not change a
+    // bit of the result. ----
+    core::CacheStudy per_config_n =
+        core::runCacheStudy(model, apps, refs, 8, jobs_n, {}, false);
+    if (!sameCachePerf(per_config, per_config_n, "jobs=N per-config"))
+        return 1;
+    const double slow_n_s = per_config_n.telemetry.wall_seconds;
+    const double jobs_scaling = slow_n_s > 0.0 ? slow_s / slow_n_s : 0.0;
+    std::cout << "\nper-config cache sweep at jobs=" << jobs_n << ": "
+              << Cell(slow_n_s, 3).str() << " s, "
+              << Cell(jobs_scaling, 2).str()
+              << "x the jobs=1 lane (not gated)\n";
+
     // ---- Memory backends: --mem=flat must be free (bit-identical to
-    // the default-constructed model), the dram walk's bank/MSHR
+    // the default-constructed model), the dram walk's bank
     // bookkeeping must stay cheap -- under 2x the flat per-config
     // lane it extends, like for like -- and the one-pass dram sweep
     // (one stack walk feeding a clock per boundary) must match the
@@ -454,7 +475,7 @@ main(int argc, char **argv)
     // cache + render path alone; the gate holds the warm pass to at
     // least 5x the cold pass (ISSUE 8). ----
     serve::ResultCache serve_cache(4096);
-    serve::JobExecutor serve_executor(serve_cache, jobs);
+    serve::JobExecutor serve_executor(serve_cache, jobs_n);
     serve::JobSpec serve_cache_job;
     serve_cache_job.kind = serve::JobKind::CacheSweep;
     serve_cache_job.refs = refs;
@@ -544,7 +565,7 @@ main(int argc, char **argv)
     cost_profiler.disarm();
 
     const double study_wall_s =
-        slow_s + fast_s + flat_lane_s + dram_s + dram_fast_s +
+        slow_s + fast_s + slow_n_s + flat_lane_s + dram_s + dram_fast_s +
         iq_slow_s + iq_fast_s + oracle_iq_slow_s + oracle_iq_fast_s +
         oracle_cache_slow_s + oracle_cache_fast_s + serve_cold_s +
         serve_warm_s;
@@ -593,6 +614,11 @@ main(int argc, char **argv)
             << "  \"onepass_refs_per_s\": " << Cell(fast_rate, 0).str()
             << ",\n"
             << "  \"speedup\": " << Cell(speedup, 3).str() << ",\n"
+            << "  \"jobs_n\": " << jobs_n << ",\n"
+            << "  \"per_config_jobs_n_seconds\": "
+            << Cell(slow_n_s, 6).str() << ",\n"
+            << "  \"jobs_scaling\": " << Cell(jobs_scaling, 3).str()
+            << ",\n"
             << "  \"flat_lane_seconds\": " << Cell(flat_lane_s, 6).str()
             << ",\n"
             << "  \"dram_seconds\": " << Cell(dram_s, 6).str() << ",\n"

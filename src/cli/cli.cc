@@ -113,7 +113,8 @@ cmdHelp(std::ostream &out)
            "                               stack-distance sweep\n"
            "      [--mem SPEC]             miss backend: flat (default)\n"
            "                               or dram[:k=v,..] -- banked\n"
-           "                               DRAM + MSHRs (docs/MEMORY.md)\n"
+           "                               DRAM, blocking misses\n"
+           "                               (docs/MEMORY.md)\n"
            "      [--telemetry-json PATH]  write execution telemetry\n"
            "  iq-sweep <app|all>           TPI vs instruction-queue size\n"
            "      [--instrs N]             instructions per run\n"
@@ -314,7 +315,7 @@ onePassFlag(const Options &options)
 }
 
 /** The --mem flag: "flat" (default) keeps the fixed-latency miss
- *  model; "dram[:k=v,..]" selects the banked DRAM + MSHR backend
+ *  model; "dram[:k=v,..]" selects the banked DRAM backend
  *  (docs/MEMORY.md).  Returns false (with a message) on a bad spec;
  *  @p config is untouched then. */
 bool

@@ -60,7 +60,7 @@ foldCacheCounters(obs::CounterRegistry &registry,
 /**
  * The dram pipeline clocks of a one-pass sweep, one lane per boundary.
  * Each lane owns its mem::DramBackend and its clock, and repeats
- * evaluateDram()'s floating-point steps in the same order, driven by
+ * DramClock::step()'s floating-point steps in the same order, driven by
  * the shared walk's depth stream instead of a live hierarchy:
  * `now += ref_ns` per reference, `now += l2_hit_ns` when the depth
  * lies in the lane's L2 ways, and on a miss (depth -1) the backend's
@@ -294,78 +294,10 @@ AdaptiveCacheModel::perfFromDram(const cache::CacheStats &stats,
 }
 
 CachePerf
-AdaptiveCacheModel::evaluateDram(const trace::AppProfile &app,
-                                 int l1_increments, uint64_t refs,
-                                 obs::DecisionTrace *trace,
-                                 obs::CounterRegistry *registry) const
-{
-    capAssert(refs > 0, "evaluation needs references");
-    CacheBoundaryTiming timing = boundaryTiming(l1_increments);
-
-    cache::ExclusiveHierarchy hierarchy(geometry_, l1_increments);
-    if (registry)
-        hierarchy.attachMetrics(*registry);
-    mem::DramBackend backend(mem_.dram);
-    trace::SyntheticTraceSource source(app.cache, app.seed, refs);
-    trace::TraceRecord batch[trace::kTraceBatch];
-
-    // Pipeline clock of the dram walk: misses arrive at realistic
-    // spacings so bank/MSHR state reflects the reference stream.
-    Nanoseconds now_ns = 0.0;
-    const Nanoseconds ref_ns =
-        timing.cycle_ns /
-        (CacheMachine::kBaseIpc * app.cache.refs_per_instr);
-    const Nanoseconds l2_hit_ns =
-        timing.cycle_ns * static_cast<double>(timing.l2_hit_cycles);
-    Nanoseconds dram_stall_ns = 0.0;
-    for (;;) {
-        uint64_t n = source.nextBatch(batch, trace::kTraceBatch);
-        if (n == 0)
-            break;
-        for (uint64_t i = 0; i < n; ++i) {
-            cache::AccessOutcome outcome = hierarchy.access(batch[i]);
-            now_ns += ref_ns;
-            if (outcome == cache::AccessOutcome::L2Hit) {
-                now_ns += l2_hit_ns;
-            } else if (outcome == cache::AccessOutcome::Miss) {
-                Nanoseconds stall = backend.onMiss(batch[i].addr, now_ns);
-                now_ns += stall;
-                dram_stall_ns += stall;
-            }
-        }
-    }
-
-    CachePerf perf = perfFromDram(hierarchy.stats(), timing,
-                                  app.cache.refs_per_instr, dram_stall_ns);
-    if (registry)
-        detail::foldMemCounters(*registry, backend);
-    if (trace)
-        trace->add(cellEvent(app, timing, perf));
-    return perf;
-}
-
-CachePerf
 AdaptiveCacheModel::evaluate(const trace::AppProfile &app,
                              int l1_increments, uint64_t refs) const
 {
-    if (mem_.isDram())
-        return evaluateDram(app, l1_increments, refs, nullptr, nullptr);
-    capAssert(refs > 0, "evaluation needs references");
-    CacheBoundaryTiming timing = boundaryTiming(l1_increments);
-
-    cache::ExclusiveHierarchy hierarchy(geometry_, l1_increments);
-    trace::SyntheticTraceSource source(app.cache, app.seed, refs);
-    trace::TraceRecord batch[trace::kTraceBatch];
-    for (;;) {
-        uint64_t n = source.nextBatch(batch, trace::kTraceBatch);
-        if (n == 0)
-            break;
-        for (uint64_t i = 0; i < n; ++i)
-            hierarchy.access(batch[i]);
-    }
-
-    return perfFromStats(hierarchy.stats(), timing,
-                         app.cache.refs_per_instr);
+    return evaluateObserved(app, l1_increments, refs, nullptr, nullptr);
 }
 
 CachePerf
@@ -374,28 +306,40 @@ AdaptiveCacheModel::evaluateObserved(const trace::AppProfile &app,
                                      obs::DecisionTrace *trace,
                                      obs::CounterRegistry *registry) const
 {
-    if (mem_.isDram())
-        return evaluateDram(app, l1_increments, refs, trace, registry);
-    if (!trace && !registry)
-        return evaluate(app, l1_increments, refs);
     capAssert(refs > 0, "evaluation needs references");
     CacheBoundaryTiming timing = boundaryTiming(l1_increments);
 
     cache::ExclusiveHierarchy hierarchy(geometry_, l1_increments);
     if (registry)
         hierarchy.attachMetrics(*registry);
+    // Under dram the pipeline clock presents each miss at its arrival
+    // time, so bank state reflects the reference stream.
+    std::optional<DramClock> clock;
+    if (mem_.isDram()) {
+        clock.emplace(mem_.dram);
+        clock->setSteps(timing, app.cache.refs_per_instr);
+    }
+    Nanoseconds dram_stall_ns = 0.0;
     trace::SyntheticTraceSource source(app.cache, app.seed, refs);
     trace::TraceRecord batch[trace::kTraceBatch];
     for (;;) {
         uint64_t n = source.nextBatch(batch, trace::kTraceBatch);
         if (n == 0)
             break;
-        for (uint64_t i = 0; i < n; ++i)
-            hierarchy.access(batch[i]);
+        for (uint64_t i = 0; i < n; ++i) {
+            cache::AccessOutcome outcome = hierarchy.access(batch[i]);
+            if (clock)
+                dram_stall_ns += clock->step(outcome, batch[i].addr);
+        }
     }
 
-    CachePerf perf = perfFromStats(hierarchy.stats(), timing,
-                                   app.cache.refs_per_instr);
+    CachePerf perf =
+        clock ? perfFromDram(hierarchy.stats(), timing,
+                             app.cache.refs_per_instr, dram_stall_ns)
+              : perfFromStats(hierarchy.stats(), timing,
+                              app.cache.refs_per_instr);
+    if (registry && clock)
+        detail::foldMemCounters(*registry, clock->backend());
     if (trace)
         trace->add(cellEvent(app, timing, perf));
     return perf;
@@ -440,7 +384,8 @@ AdaptiveCacheModel::sweepOnePassObserved(
 
     // Under dram every boundary misses the same references in the same
     // order (stack_sim.h); only its pipeline clock differs.  One lane
-    // per boundary replays evaluateDram() from the walk's depth stream.
+    // per boundary replays evaluate()'s DramClock from the walk's depth
+    // stream.
     std::optional<DramLanes> lanes;
     if (mem_.isDram())
         lanes.emplace(mem_.dram, timings, app.cache.refs_per_instr);

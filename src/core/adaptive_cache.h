@@ -29,13 +29,6 @@
 
 namespace cap::core {
 
-namespace detail {
-/** Fold one dram backend's `dram.*`/`mshr.*` statistics into a
- *  counter registry (shared by every dram-mode evaluation loop). */
-void foldMemCounters(obs::CounterRegistry &registry,
-                     const mem::DramBackend &backend);
-} // namespace detail
-
 /** Timing of one boundary placement. */
 struct CacheBoundaryTiming
 {
@@ -51,6 +44,71 @@ struct CacheBoundaryTiming
     Cycles l2_hit_cycles;
     /** L2 miss service latency, cycles. */
     Cycles miss_cycles;
+};
+
+namespace detail {
+/** Fold one dram backend's `dram.*`/`mshr.*` statistics into a
+ *  counter registry (shared by every dram-mode evaluation loop). */
+void foldMemCounters(obs::CounterRegistry &registry,
+                     const mem::DramBackend &backend);
+} // namespace detail
+
+/**
+ * The blocking pipeline clock of a dram-priced walk, shared by every
+ * per-config engine.  It is the paper's TPI model run forward: each
+ * reference advances the clock by its base time, an L2 hit adds the
+ * L2 access, and a miss adds the stall the backend charges at the
+ * clock's current time, so misses reach the backend at their real
+ * spacing.  step() performs those additions in that order; every
+ * dram result's bits depend on it.  The one-pass DramLanes repeat the
+ * same steps lane by lane from stack depths.
+ */
+class DramClock
+{
+  public:
+    explicit DramClock(const mem::DramParams &params) : backend_(params)
+    {
+    }
+
+    /** Set the per-reference time @p ref_ns and the L2-hit time
+     *  @p l2_hit_ns; the clock and the backend state carry on. */
+    void setSteps(Nanoseconds ref_ns, Nanoseconds l2_hit_ns)
+    {
+        ref_ns_ = ref_ns;
+        l2_hit_ns_ = l2_hit_ns;
+    }
+
+    /** The steps of a walk at @p timing's clock. */
+    void setSteps(const CacheBoundaryTiming &timing, double refs_per_instr)
+    {
+        setSteps(timing.cycle_ns /
+                     (CacheMachine::kBaseIpc * refs_per_instr),
+                 timing.cycle_ns *
+                     static_cast<double>(timing.l2_hit_cycles));
+    }
+
+    /** Advance past one reference to @p addr that ended in
+     *  @p outcome; returns the stall a miss charged, else 0. */
+    Nanoseconds step(cache::AccessOutcome outcome, Addr addr)
+    {
+        now_ns_ += ref_ns_;
+        if (outcome == cache::AccessOutcome::L2Hit) {
+            now_ns_ += l2_hit_ns_;
+        } else if (outcome == cache::AccessOutcome::Miss) {
+            Nanoseconds stall = backend_.onMiss(addr, now_ns_);
+            now_ns_ += stall;
+            return stall;
+        }
+        return 0.0;
+    }
+
+    const mem::DramBackend &backend() const { return backend_; }
+
+  private:
+    mem::DramBackend backend_;
+    Nanoseconds now_ns_ = 0.0;
+    Nanoseconds ref_ns_ = 0.0;
+    Nanoseconds l2_hit_ns_ = 0.0;
 };
 
 /** Performance of one application under one boundary placement. */
@@ -102,17 +160,18 @@ class AdaptiveCacheModel
 
     /**
      * Select the memory backend serving L2 misses.  The default Flat
-     * config reproduces the historical fixed kL2MissNs edge exactly
-     * (every flat-mode code path is untouched); Dram routes misses
-     * through a mem::DramBackend, making miss cost depend on row
-     * locality, bank contention and MSHR overlap (docs/MEMORY.md).
+     * config reproduces the historical fixed kL2MissNs edge exactly;
+     * Dram routes misses through a mem::DramBackend, making miss cost
+     * depend on row locality and bank and channel contention
+     * (docs/MEMORY.md).
      */
     void setMemConfig(const mem::MemConfig &config) { mem_ = config; }
     const mem::MemConfig &memConfig() const { return mem_; }
 
     /**
      * Trace-driven evaluation: run @p refs references of @p app with
-     * the boundary fixed at @p l1_increments and derive TPI/TPImiss.
+     * the boundary fixed at @p l1_increments and derive TPI/TPImiss
+     * (under dram, from a DramClock walk).
      */
     CachePerf evaluate(const trace::AppProfile &app, int l1_increments,
                        uint64_t refs) const;
@@ -141,9 +200,8 @@ class AdaptiveCacheModel
      * the reconstruction is exact, not approximate (docs/PERF.md) --
      * at ~1/max_l1_increments the simulation cost.  Under a dram
      * backend the walk also emits each reference's recency depth, and
-     * one pipeline clock + mem::DramBackend per boundary replays
-     * evaluate()'s dram loop from it, step for step (docs/PERF.md
-     * section 13).
+     * one lane per boundary replays evaluate()'s DramClock steps
+     * from it, step for step (docs/PERF.md section 13).
      */
     std::vector<CachePerf> sweepOnePass(const trace::AppProfile &app,
                                         int max_l1_increments,
@@ -185,12 +243,6 @@ class AdaptiveCacheModel
                            Nanoseconds dram_stall_ns) const;
 
   private:
-    /** The per-access dram evaluation loop behind evaluate() and
-     *  evaluateObserved() when the configured backend is Dram. */
-    CachePerf evaluateDram(const trace::AppProfile &app, int l1_increments,
-                           uint64_t refs, obs::DecisionTrace *trace,
-                           obs::CounterRegistry *registry) const;
-
     cache::HierarchyGeometry geometry_;
     const timing::Technology *tech_;
     timing::WireModel wires_;

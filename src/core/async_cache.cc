@@ -31,14 +31,14 @@ AsyncCacheModel::evaluate(const trace::AppProfile &app, int l1_increments,
     trace::SyntheticTraceSource source(app.cache, app.seed, refs);
     trace::TraceRecord record;
 
+    // Miss service times are physical (ns), independent of clocking.
+    double l2_access_ns = static_cast<double>(sync_timing.l2_hit_cycles) *
+                          sync_timing.cycle_ns;
     const bool dram = model.memConfig().isDram();
-    mem::DramBackend backend(model.memConfig().dram);
-    const Nanoseconds ref_ns =
-        base_stage / (CacheMachine::kBaseIpc * app.cache.refs_per_instr);
-    const Nanoseconds l2_access_step =
-        static_cast<double>(sync_timing.l2_hit_cycles) *
-        sync_timing.cycle_ns;
-    Nanoseconds now_ns = 0.0;
+    DramClock clock(model.memConfig().dram);
+    clock.setSteps(
+        base_stage / (CacheMachine::kBaseIpc * app.cache.refs_per_instr),
+        l2_access_ns);
     Nanoseconds dram_stall_ns = 0.0;
 
     double access_time_sum = 0.0;
@@ -59,16 +59,8 @@ AsyncCacheModel::evaluate(const trace::AppProfile &app, int l1_increments,
             // stalls (added below from the stats).
             access_time_sum += worst_access;
         }
-        if (!dram)
-            continue;
-        now_ns += ref_ns;
-        if (detail.outcome == cache::AccessOutcome::L2Hit) {
-            now_ns += l2_access_step;
-        } else if (detail.outcome == cache::AccessOutcome::Miss) {
-            Nanoseconds stall = backend.onMiss(record.addr, now_ns);
-            now_ns += stall;
-            dram_stall_ns += stall;
-        }
+        if (dram)
+            dram_stall_ns += clock.step(detail.outcome, record.addr);
     }
     const cache::CacheStats &stats = hierarchy.stats();
 
@@ -86,9 +78,6 @@ AsyncCacheModel::evaluate(const trace::AppProfile &app, int l1_increments,
 
     double instrs = static_cast<double>(perf.instructions);
     double base_ns = instrs / CacheMachine::kBaseIpc * base_stage;
-    // Miss service times are physical (ns), independent of clocking.
-    double l2_access_ns = static_cast<double>(sync_timing.l2_hit_cycles) *
-                          sync_timing.cycle_ns;
     double miss_ns = static_cast<double>(stats.l2_hits) * l2_access_ns +
                      (dram ? dram_stall_ns
                            : static_cast<double>(stats.misses) *

@@ -111,38 +111,19 @@ runConcertStudy(const std::vector<trace::AppProfile> &apps, uint64_t refs,
             cache::ExclusiveHierarchy hierarchy(cache_model.geometry(), k);
             trace::SyntheticTraceSource source(app.cache, app.seed, refs);
             trace::TraceRecord record;
-            if (mem.isDram()) {
-                // Walk at this boundary's native clock so the backend
-                // sees realistic miss spacings; the measured stall is
-                // physical ns, reused at every joint clock.
-                mem::DramBackend backend(mem.dram);
-                CacheBoundaryTiming native = cache_model.boundaryTiming(k);
-                const Nanoseconds ref_ns =
-                    native.cycle_ns /
-                    (CacheMachine::kBaseIpc * app.cache.refs_per_instr);
-                const Nanoseconds l2_hit_ns =
-                    native.cycle_ns *
-                    static_cast<double>(native.l2_hit_cycles);
-                Nanoseconds now_ns = 0.0;
-                Nanoseconds stall_ns = 0.0;
-                while (source.next(record)) {
-                    cache::AccessOutcome outcome = hierarchy.access(record);
-                    now_ns += ref_ns;
-                    if (outcome == cache::AccessOutcome::L2Hit) {
-                        now_ns += l2_hit_ns;
-                    } else if (outcome == cache::AccessOutcome::Miss) {
-                        Nanoseconds stall =
-                            backend.onMiss(record.addr, now_ns);
-                        now_ns += stall;
-                        stall_ns += stall;
-                    }
-                }
-                m.dram_stall_ns.push_back(stall_ns);
-            } else {
-                while (source.next(record))
-                    hierarchy.access(record);
-                m.dram_stall_ns.push_back(0.0);
+            // Under dram, walk at this boundary's native clock so the
+            // backend sees realistic miss spacings; the measured stall
+            // is physical ns, reused at every joint clock.
+            DramClock clock(mem.dram);
+            clock.setSteps(cache_model.boundaryTiming(k),
+                           app.cache.refs_per_instr);
+            Nanoseconds stall_ns = 0.0;
+            while (source.next(record)) {
+                cache::AccessOutcome outcome = hierarchy.access(record);
+                if (mem.isDram())
+                    stall_ns += clock.step(outcome, record.addr);
             }
+            m.dram_stall_ns.push_back(stall_ns);
             m.cache_stats.push_back(hierarchy.stats());
         }
         uint64_t tlb_accesses = refs / 4;

@@ -53,25 +53,15 @@ LatencyAdaptiveCache::evaluate(const trace::AppProfile &app,
     trace::SyntheticTraceSource source(app.cache, app.seed, refs);
     trace::TraceRecord record;
     const bool dram = model_->memConfig().isDram();
-    mem::DramBackend backend(model_->memConfig().dram);
-    Nanoseconds now_ns = 0.0;
+    DramClock clock(model_->memConfig().dram);
+    clock.setSteps(
+        t.cycle_ns / (CacheMachine::kBaseIpc * app.cache.refs_per_instr),
+        t.cycle_ns * static_cast<double>(t.l2_hit_cycles));
     Nanoseconds dram_stall_ns = 0.0;
-    const Nanoseconds ref_ns =
-        t.cycle_ns / (CacheMachine::kBaseIpc * app.cache.refs_per_instr);
-    const Nanoseconds l2_hit_ns =
-        t.cycle_ns * static_cast<double>(t.l2_hit_cycles);
     while (source.next(record)) {
         cache::AccessOutcome outcome = hierarchy.access(record);
-        if (!dram)
-            continue;
-        now_ns += ref_ns;
-        if (outcome == cache::AccessOutcome::L2Hit) {
-            now_ns += l2_hit_ns;
-        } else if (outcome == cache::AccessOutcome::Miss) {
-            Nanoseconds stall = backend.onMiss(record.addr, now_ns);
-            now_ns += stall;
-            dram_stall_ns += stall;
-        }
+        if (dram)
+            dram_stall_ns += clock.step(outcome, record.addr);
     }
     const cache::CacheStats &stats = hierarchy.stats();
 

@@ -1,22 +1,12 @@
 #include "mem_model.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
 namespace cap::mem {
 
 namespace {
-
-/** Render a latency knob without trailing zeros ("15", "4.5"). */
-std::string
-formatNs(Nanoseconds value)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", value);
-    return buf;
-}
 
 bool
 parseUint(const std::string &text, uint64_t &out)
@@ -45,22 +35,6 @@ parseNs(const std::string &text, Nanoseconds &out)
 }
 
 } // namespace
-
-std::string
-MemConfig::canonical() const
-{
-    if (kind == MemKind::Flat)
-        return "flat";
-    std::ostringstream os;
-    os << "dram:banks=" << dram.banks << ",row=" << dram.row_bytes
-       << ",hit=" << formatNs(dram.row_hit_ns)
-       << ",miss=" << formatNs(dram.row_miss_ns)
-       << ",conflict=" << formatNs(dram.row_conflict_ns)
-       << ",burst=" << formatNs(dram.burst_ns)
-       << ",mshr=" << dram.mshr_entries << ",policy="
-       << (dram.page_policy == PagePolicy::Open ? "open" : "closed");
-    return os.str();
-}
 
 bool
 parseMemSpec(const std::string &spec, MemConfig &config, std::string &error)
@@ -103,9 +77,6 @@ parseMemSpec(const std::string &spec, MemConfig &config, std::string &error)
             ok = parseNs(value, parsed.dram.row_conflict_ns);
         } else if (key == "burst") {
             ok = parseNs(value, parsed.dram.burst_ns);
-        } else if (key == "mshr") {
-            ok = parseUint(value, u) && u >= 1 && u <= 4096;
-            parsed.dram.mshr_entries = static_cast<uint32_t>(u);
         } else if (key == "policy") {
             ok = value == "open" || value == "closed";
             parsed.dram.page_policy =
@@ -129,18 +100,8 @@ parseMemSpec(const std::string &spec, MemConfig &config, std::string &error)
 }
 
 DramBackend::DramBackend(const DramParams &params)
-    : params_(params), banks_(params.banks), mshrs_(params.mshr_entries)
+    : params_(params), banks_(params.banks)
 {
-}
-
-void
-DramBackend::reset()
-{
-    std::fill(banks_.begin(), banks_.end(), Bank{});
-    std::fill(mshrs_.begin(), mshrs_.end(), Entry{});
-    channel_free_ = 0.0;
-    dram_ = DramStats{};
-    mshr_ = MshrStats{};
 }
 
 Nanoseconds
@@ -192,58 +153,8 @@ DramBackend::serviceAccess(Addr addr, Nanoseconds ready_ns)
 Nanoseconds
 DramBackend::onMiss(Addr addr, Nanoseconds now_ns)
 {
-    // Merge at cache-block granularity (the hierarchy's 32-byte
-    // blocks): two misses to the same block are one memory access.
-    Addr block = addr & ~static_cast<Addr>(31);
-    Nanoseconds stall = 0.0;
-
-    // Retire completed misses; count the survivors and remember the
-    // earliest completion in case the file is full.
-    uint32_t outstanding = 0;
-    Entry *free_slot = nullptr;
-    Entry *earliest = nullptr;
-    for (Entry &entry : mshrs_) {
-        if (entry.valid && entry.completion <= now_ns)
-            entry.valid = false;
-        if (!entry.valid) {
-            free_slot = free_slot == nullptr ? &entry : free_slot;
-            continue;
-        }
-        ++outstanding;
-        if (entry.block == block) {
-            // Secondary miss: merge into the in-flight entry and
-            // charge only the remaining wait.
-            ++mshr_.merges;
-            stall = entry.completion - now_ns;
-            mshr_.stall_ns += stall;
-            return stall;
-        }
-        if (earliest == nullptr || entry.completion < earliest->completion)
-            earliest = &entry;
-    }
-
-    if (free_slot == nullptr) {
-        // Structural stall: wait for the earliest outstanding miss,
-        // then reuse its slot.
-        ++mshr_.full_stalls;
-        stall = earliest->completion - now_ns;
-        now_ns = earliest->completion;
-        earliest->valid = false;
-        free_slot = earliest;
-        --outstanding;
-    }
-
-    Nanoseconds completion = serviceAccess(addr, now_ns);
-    free_slot->block = block;
-    free_slot->completion = completion;
-    free_slot->valid = true;
-    ++outstanding;
+    Nanoseconds stall = serviceAccess(addr, now_ns) - now_ns;
     ++mshr_.allocs;
-
-    // Memory-level parallelism discount: the pipeline only exposes
-    // 1/outstanding of this miss's wait as stall, the rest overlaps
-    // with the other in-flight misses.
-    stall += (completion - now_ns) / outstanding;
     mshr_.stall_ns += stall;
     return stall;
 }

@@ -11,7 +11,7 @@ namespace cap::mem {
 /** Which memory backend serves L2 misses. Flat is the historical
  *  fixed-latency edge (CacheMachine::kL2MissNs per miss) and the
  *  differential-test reference; Dram is the banked row-buffer model
- *  with MSHR-based non-blocking misses. */
+ *  with blocking misses. */
 enum class MemKind { Flat, Dram };
 
 /** Row-buffer management policy. Open keeps the row latched after an
@@ -40,8 +40,6 @@ struct DramParams {
     /** Channel occupancy per transfer; back-to-back accesses to
      *  different banks still serialize on this. */
     Nanoseconds burst_ns = 4.0;
-    /** MSHR file size: maximum outstanding primary misses. */
-    uint32_t mshr_entries = 8;
     /** Row-buffer management policy. */
     PagePolicy page_policy = PagePolicy::Open;
 };
@@ -52,15 +50,11 @@ struct MemConfig {
     DramParams dram;
 
     bool isDram() const { return kind == MemKind::Dram; }
-
-    /** Canonical spec string (parseable by parseMemSpec); "flat" or
-     *  "dram:banks=..,row=..,...". Used for labels and job specs. */
-    std::string canonical() const;
 };
 
 /** Parse a `--mem` spec: "flat", "dram", or "dram:" followed by
  *  comma-separated knobs (banks, row, hit, miss, conflict, burst,
- *  mshr, policy=open|closed). Returns false and fills @p error on a
+ *  policy=open|closed). Returns false and fills @p error on a
  *  malformed spec; @p config is untouched on failure. */
 bool parseMemSpec(const std::string &spec, MemConfig &config,
                   std::string &error);
@@ -79,8 +73,10 @@ struct DramStats {
     Nanoseconds queue_ns = 0.0;
 };
 
-/** Aggregate MSHR-side statistics. allocs + merges equals the number
- *  of misses presented to the backend. */
+/** Aggregate miss-side statistics, kept under the historical `mshr.*`
+ *  counter names. Misses block, so every miss is one allocation and
+ *  nothing ever merges or waits for a free entry: allocs equals the
+ *  misses presented, merges and full_stalls stay 0. */
 struct MshrStats {
     uint64_t allocs = 0;
     uint64_t merges = 0;
@@ -90,27 +86,24 @@ struct MshrStats {
     Nanoseconds stall_ns = 0.0;
 };
 
-/** Banked DRAM timing backend with a bounded MSHR file.
+/** Banked DRAM timing backend with blocking misses.
  *
  *  Deterministic and trace-ordered: the caller walks the reference
  *  stream maintaining a running pipeline clock `now_ns` and presents
  *  each L2 miss in order; onMiss() returns the stall to charge the
- *  pipeline. Overlap is modeled by the MSHR file: a primary miss
- *  charges its total wait divided by the number of misses then in
- *  flight (memory-level parallelism discount), a secondary miss to a
- *  block already in flight merges and charges only the remaining
- *  wait, and when the file is full the pipeline stalls until the
- *  earliest outstanding miss completes. */
+ *  pipeline, which is the miss's whole wait (queueing behind a busy
+ *  bank or the channel, plus service). The paper prices a miss as a
+ *  blocking stall, and every caller adds the stall to its clock before
+ *  the next reference, so no miss is ever in flight when the next one
+ *  arrives (docs/MEMORY.md section 1). */
 class DramBackend {
 public:
     explicit DramBackend(const DramParams &params);
 
     /** Present one L2 miss for @p addr at pipeline time @p now_ns;
-     *  returns the stall (>= 0) to charge the pipeline. */
+     *  returns the stall (>= 0) to charge the pipeline: its completion
+     *  time minus @p now_ns. */
     Nanoseconds onMiss(Addr addr, Nanoseconds now_ns);
-
-    /** Forget all bank/MSHR state and statistics. */
-    void reset();
 
     const DramParams &params() const { return params_; }
     const DramStats &dramStats() const { return dram_; }
@@ -122,18 +115,11 @@ private:
         bool row_valid = false;
         Nanoseconds busy_until = 0.0;
     };
-    struct Entry {
-        Addr block = 0;
-        Nanoseconds completion = 0.0;
-        bool valid = false;
-    };
-
     /** Issue one DRAM access and return its completion time. */
     Nanoseconds serviceAccess(Addr addr, Nanoseconds ready_ns);
 
     DramParams params_;
     std::vector<Bank> banks_;
-    std::vector<Entry> mshrs_;
     Nanoseconds channel_free_ = 0.0;
     DramStats dram_;
     MshrStats mshr_;

@@ -232,14 +232,12 @@ cellKey(const JobSpec &spec, const trace::AppProfile &app)
         // flat requests it was computed for.
         if (spec.mem.isDram()) {
             const mem::DramParams &d = spec.mem.dram;
-            key.add("mem", spec.mem.canonical());
             key.add("mem.banks", static_cast<uint64_t>(d.banks));
             key.add("mem.row_bytes", d.row_bytes);
             key.addBits("mem.row_hit_ns", d.row_hit_ns);
             key.addBits("mem.row_miss_ns", d.row_miss_ns);
             key.addBits("mem.row_conflict_ns", d.row_conflict_ns);
             key.addBits("mem.burst_ns", d.burst_ns);
-            key.add("mem.mshr", static_cast<uint64_t>(d.mshr_entries));
             key.add("mem.policy", static_cast<int64_t>(d.page_policy));
         }
         break;

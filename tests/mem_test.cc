@@ -1,7 +1,7 @@
 /**
  * @file
- * Banked DRAM + MSHR backend tests: spec parsing, backend timing
- * semantics, MSHR bookkeeping invariants, the flat-default
+ * Banked DRAM backend tests: spec parsing, backend timing
+ * semantics, blocking-miss stall accounting, the flat-default
  * byte-identity contract of the study verbs, dram-mode study
  * invariants (including the one-pass sweep against per-boundary
  * evaluation), the serve cell-key sensitivity, and the shared
@@ -66,7 +66,6 @@ TEST(MemSpec, FlatIsTheDefaultConfig)
 {
     mem::MemConfig config;
     EXPECT_FALSE(config.isDram());
-    EXPECT_EQ(config.canonical(), "flat");
     EXPECT_FALSE(parseOrDie("flat").isDram());
 }
 
@@ -81,7 +80,6 @@ TEST(MemSpec, DramDefaultsScaleFromRowHit)
     EXPECT_DOUBLE_EQ(config.dram.row_miss_ns,
                      core::CacheMachine::kL2MissNs);
     EXPECT_DOUBLE_EQ(config.dram.row_conflict_ns, 45.0);
-    EXPECT_EQ(config.dram.mshr_entries, 8u);
     EXPECT_EQ(config.dram.page_policy, mem::PagePolicy::Open);
 }
 
@@ -89,14 +87,13 @@ TEST(MemSpec, ParsesEveryKnob)
 {
     mem::MemConfig config = parseOrDie(
         "dram:banks=4,row=1024,hit=10,miss=20,conflict=40,burst=2,"
-        "mshr=16,policy=closed");
+        "policy=closed");
     EXPECT_EQ(config.dram.banks, 4u);
     EXPECT_EQ(config.dram.row_bytes, 1024u);
     EXPECT_DOUBLE_EQ(config.dram.row_hit_ns, 10.0);
     EXPECT_DOUBLE_EQ(config.dram.row_miss_ns, 20.0);
     EXPECT_DOUBLE_EQ(config.dram.row_conflict_ns, 40.0);
     EXPECT_DOUBLE_EQ(config.dram.burst_ns, 2.0);
-    EXPECT_EQ(config.dram.mshr_entries, 16u);
     EXPECT_EQ(config.dram.page_policy, mem::PagePolicy::Closed);
 }
 
@@ -106,7 +103,7 @@ TEST(MemSpec, RejectsMalformedSpecsAndLeavesConfigUntouched)
     std::string error;
     for (const char *bad :
          {"sdram", "dram:banks", "dram:banks=0", "dram:row=100",
-          "dram:mshr=0", "dram:policy=wombat", "dram:wombat=1",
+          "dram:mshr=8", "dram:policy=wombat", "dram:wombat=1",
           "dram:hit=20,miss=10", "dram:miss=50,conflict=40"}) {
         EXPECT_FALSE(mem::parseMemSpec(bad, config, error)) << bad;
         EXPECT_FALSE(error.empty());
@@ -114,23 +111,15 @@ TEST(MemSpec, RejectsMalformedSpecsAndLeavesConfigUntouched)
     // Failures never clobber the previously parsed config.
     EXPECT_TRUE(config.isDram());
     EXPECT_EQ(config.dram.banks, 2u);
-}
-
-TEST(MemSpec, CanonicalRoundTrips)
-{
-    for (const char *spec :
-         {"flat", "dram", "dram:banks=2,hit=7.5,policy=closed"}) {
-        mem::MemConfig config = parseOrDie(spec);
-        mem::MemConfig reparsed = parseOrDie(config.canonical());
-        EXPECT_EQ(config.canonical(), reparsed.canonical()) << spec;
-    }
+    // Misses block, so there is no MSHR file to size.
+    EXPECT_FALSE(mem::parseMemSpec("dram:mshr=8", config, error));
+    EXPECT_EQ(error, "unknown --mem knob 'mshr'");
 }
 
 TEST(MemDram, OpenPolicyRowHitMissConflict)
 {
     mem::DramParams params;
     params.banks = 1;
-    params.mshr_entries = 1;
     mem::DramBackend backend(params);
 
     // Idle bank: row miss.  Far-apart arrival times keep each access
@@ -194,75 +183,27 @@ TEST(MemDram, BusyBankQueuesLaterAccess)
     EXPECT_GE(backend.dramStats().queue_ns, params.row_miss_ns);
 }
 
-TEST(MemDram, ResetForgetsStateAndStats)
-{
-    mem::DramBackend backend(mem::DramParams{});
-    backend.onMiss(0, 0.0);
-    backend.onMiss(64, 0.0);
-    backend.reset();
-    EXPECT_EQ(backend.dramStats().accesses, 0u);
-    EXPECT_EQ(backend.mshrStats().allocs, 0u);
-    // After reset the first access is a row miss again, not a hit.
-    backend.onMiss(64, 0.0);
-    EXPECT_EQ(backend.dramStats().row_misses, 1u);
-}
-
-TEST(MshrFile, SecondaryMissMergesAndConservationHolds)
-{
-    mem::DramParams params;
-    mem::DramBackend backend(params);
-    uint64_t misses = 0;
-    Nanoseconds now = 0.0;
-    for (uint64_t i = 0; i < 200; ++i) {
-        // Every block is touched twice in quick succession: the
-        // second reference should merge into the in-flight entry.
-        Addr block = (i / 2) * 4096;
-        backend.onMiss(block + (i % 2) * 8, now);
-        now += 0.5;
-        ++misses;
-    }
-    const mem::MshrStats &stats = backend.mshrStats();
-    EXPECT_GT(stats.merges, 0u);
-    EXPECT_EQ(stats.allocs + stats.merges, misses);
-}
-
-TEST(MshrFile, MergedMissChargesAtMostRemainingWait)
+TEST(MemDram, OnMissChargesCompletionMinusNow)
 {
     mem::DramParams params;
     params.banks = 1;
     mem::DramBackend backend(params);
-    Nanoseconds primary = backend.onMiss(0, 0.0);
-    Nanoseconds secondary = backend.onMiss(8, 1.0);
-    EXPECT_EQ(backend.mshrStats().merges, 1u);
-    // The merged miss waits only for the already-issued access.
-    EXPECT_DOUBLE_EQ(secondary, params.row_miss_ns - 1.0);
-    EXPECT_GT(primary, 0.0);
-}
+    // Idle bank: the access completes a row miss after arrival.
+    EXPECT_EQ(backend.onMiss(0, 0.0), params.row_miss_ns);
+    // Another row at 10 ns waits for the bank (busy until 30 ns), then
+    // pays a conflict: completion 30 + 45 = 75 ns.
+    EXPECT_EQ(backend.onMiss(params.row_bytes, 10.0), 65.0);
+    // The same block again at 50 ns, before that access completes, is
+    // a new access queued behind it (a row hit from 75 ns), not a
+    // merge: 75 + 15 - 50 ns.
+    EXPECT_EQ(backend.onMiss(params.row_bytes + 8, 50.0), 40.0);
 
-TEST(MshrFile, FullFileForcesStructuralStall)
-{
-    mem::DramParams params;
-    params.banks = 8;
-    params.mshr_entries = 1;
-    mem::DramBackend backend(params);
-    backend.onMiss(0, 0.0);
-    // Distinct block while the single entry is in flight: the
-    // pipeline must stall to completion before allocating.
-    Nanoseconds stall = backend.onMiss(1 << 20, 0.0);
-    EXPECT_EQ(backend.mshrStats().full_stalls, 1u);
-    EXPECT_GE(stall, params.row_miss_ns);
-}
-
-TEST(MshrFile, StallAccountingMatchesReturnedStalls)
-{
-    mem::DramBackend backend(mem::DramParams{});
-    Nanoseconds total = 0.0;
-    Nanoseconds now = 0.0;
-    for (uint64_t i = 0; i < 300; ++i) {
-        total += backend.onMiss(i * 57 * 32, now);
-        now += 2.0;
-    }
-    EXPECT_DOUBLE_EQ(backend.mshrStats().stall_ns, total);
+    const mem::MshrStats &mshr = backend.mshrStats();
+    EXPECT_EQ(mshr.allocs, 3u);
+    EXPECT_EQ(mshr.merges, 0u);
+    EXPECT_EQ(mshr.full_stalls, 0u);
+    EXPECT_EQ(mshr.stall_ns, params.row_miss_ns + 65.0 + 40.0);
+    EXPECT_EQ(backend.dramStats().queue_ns, 20.0 + 25.0);
 }
 
 // ---------------------------------------------------------------------
@@ -428,10 +369,11 @@ TEST(MemDramStudy, CountersConserveMissesAndFloorTheStall)
 
     uint64_t misses = registry.counterValue("cache.misses");
     ASSERT_GT(misses, 0u);
-    // Every miss either allocated an MSHR or merged into one.
-    EXPECT_EQ(registry.counterValue("mshr.allocs") +
-                  registry.counterValue("mshr.merges"),
-              misses);
+    // Misses block: each one is an allocation, none merges or waits
+    // for a free entry.
+    EXPECT_EQ(registry.counterValue("mshr.allocs"), misses);
+    EXPECT_EQ(registry.counterValue("mshr.merges"), 0u);
+    EXPECT_EQ(registry.counterValue("mshr.full_stalls"), 0u);
     EXPECT_EQ(registry.counterValue("dram.accesses"),
               registry.counterValue("mshr.allocs"));
     EXPECT_EQ(registry.counterValue("dram.row_hits") +
@@ -559,8 +501,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         DramSpecCase{"Default", "dram"},
         DramSpecCase{"ClosedPage", "dram:policy=closed"},
-        DramSpecCase{"OneMshr",
-                     "dram:banks=2,mshr=1,hit=10,miss=40,conflict=80"}),
+        DramSpecCase{"TwoBanks",
+                     "dram:banks=2,hit=10,miss=40,conflict=80"}),
     [](const ::testing::TestParamInfo<DramSpecCase> &info) {
         return std::string(info.param.name);
     });
@@ -574,7 +516,7 @@ TEST(MemDramStudy, MissCostBecomesPhaseDependent)
     core::AdaptiveCacheModel flat_model;
     core::AdaptiveCacheModel dram_model;
     dram_model.setMemConfig(
-        parseOrDie("dram:banks=2,mshr=2,hit=10,miss=40,conflict=80"));
+        parseOrDie("dram:banks=2,hit=10,miss=40,conflict=80"));
     std::vector<int> boundaries = {1, 2, 3, 4, 5, 6, 7, 8};
     bool diverged = false;
     for (const trace::AppProfile &app : trace::cacheStudyApps()) {
@@ -710,6 +652,13 @@ TEST(MemServe, JobParsesMemAndRejectsSampledDram)
     EXPECT_FALSE(parseJob(R"({"kind": "cache-sweep", "apps": "li",
                               "mem": "sdram"})",
                           bad_spec, error));
+
+    serve::JobSpec mshr_spec;
+    EXPECT_FALSE(parseJob(R"({"kind": "cache-sweep", "apps": "li",
+                              "mem": "dram:mshr=2"})",
+                          mshr_spec, error));
+    EXPECT_NE(error.find("unknown --mem knob 'mshr'"), std::string::npos)
+        << error;
 }
 
 } // namespace
